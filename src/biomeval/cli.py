@@ -73,7 +73,6 @@ class RunConfig:
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     far_targets: tuple[float, ...] = DEFAULT_FAR_TARGETS
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for flag, path in self.inputs.items():
@@ -85,8 +84,6 @@ class RunConfig:
         for f in self.far_targets:
             if f < 0:
                 raise BiomevalError(f"FAR targets must be non-negative, got {f!r}")
-        if self.threads < 1:
-            raise BiomevalError(f"--threads must be positive, got {self.threads}")
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
 
@@ -172,7 +169,6 @@ def _cmd_eval_det(args) -> int:
         out_dir=_resolve_out(args, config),
         inputs=inputs,
         iou_thresholds=tuple(_resolve(args, config, "iou", list(DEFAULT_IOU_THRESHOLDS))),
-        threads=int(_resolve(args, config, "threads", 1)),
         seed=int(_resolve(args, config, "seed", 0)),
     )
     thresholds = run.iou_thresholds
@@ -185,9 +181,7 @@ def _cmd_eval_det(args) -> int:
     if media_path is not None:
         media_tags = load_media_index(inputs["media"]).media_tags()
 
-    report = evaluate_detections(
-        dets, gts, thresholds, media_tags=media_tags, threads=run.threads
-    )
+    report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
     _write_json(out / "detection_report.json", report.to_dict())
 
     lines = [f"detection evaluation at IoU thresholds {list(thresholds)}"]
@@ -211,7 +205,6 @@ def _cmd_eval_det(args) -> int:
     run_config = {
         "iou_thresholds": list(thresholds),
         "box_format": box_format,
-        "threads": run.threads,
         "seed": run.seed,
     }
     _write_run_manifest(
@@ -230,13 +223,11 @@ def _cmd_eval_id(args) -> int:
             "protocol": _required(_resolve(args, config, "protocol"), "--protocol"),
         },
         far_targets=tuple(_resolve(args, config, "far", list(DEFAULT_FAR_TARGETS))),
-        threads=int(_resolve(args, config, "threads", 1)),
         seed=int(_resolve(args, config, "seed", 0)),
     )
     emb_path = run.inputs["embeddings"]
     protocol_path = run.inputs["protocol"]
     far_targets = run.far_targets
-    threads = run.threads
     ranks = tuple(int(r) for r in _resolve(args, config, "ranks", list(DEFAULT_RANKS)))
     metric = _resolve(args, config, "metric", "cosine")
     aggregate = _resolve(args, config, "aggregate", "mean")
@@ -256,7 +247,7 @@ def _cmd_eval_id(args) -> int:
 
     gallery = build_gallery_templates(manifest, embeddings, method=aggregate)
     probe_ids, probes = probe_matrix(manifest, embeddings)
-    matrix = score(probes, gallery, metric=metric, probe_ids=probe_ids, threads=threads)
+    matrix = score(probes, gallery, metric=metric, probe_ids=probe_ids)
 
     mate_ids = list(check.mate_probe_ids)
     if not mate_ids:
@@ -314,7 +305,6 @@ def _cmd_eval_id(args) -> int:
         "aggregation": aggregate,
         "rank_cap": rank_cap,
         "embedding_format": emb_format,
-        "threads": threads,
         "seed": run.seed,
     }
     _write_run_manifest(out, "eval-id", run_config, run.inputs, outputs)
@@ -423,7 +413,6 @@ def _cmd_convert_emb(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--out", help="output directory (created if absent)")
-    parser.add_argument("--threads", type=int, help="worker cap (results are identical for any value)")
     parser.add_argument("--seed", type=int, help="seed for the deterministic RNG")
 
 

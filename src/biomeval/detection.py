@@ -7,13 +7,12 @@ mean of the per-group scores.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
 from .records import BoundingBox, DetectionRecord, GroundTruthRecord
-from .stores import DetectionStore, GroundTruthStore
+from .stores import DetectionStore, GroundTruthStore, _merge_media_tag
 
 DEFAULT_IOU_THRESHOLDS = (0.35, 0.5, 0.7)
 
@@ -143,13 +142,7 @@ def _resolve_tags(
     tags: dict[str, str | None] = {}
     for source in (gts.media_tags, dets.media_tags, media_tags or {}):
         for media_id, tag in source.items():
-            known = tags.get(media_id)
-            if known is None:
-                tags[media_id] = tag
-            elif tag is not None and tag != known:
-                raise ValidationError(
-                    f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
-                )
+            _merge_media_tag(tags, media_id, tag)
     return tags
 
 
@@ -158,7 +151,6 @@ def evaluate_detections(
     gts: GroundTruthStore,
     thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     media_tags: Mapping[str, str] | None = None,
-    threads: int = 1,
 ) -> DetectionReport:
     """Score detections against ground truth at each IoU threshold.
 
@@ -179,25 +171,14 @@ def evaluate_detections(
         if tags.get(media_id) is None:
             raise ValidationError(f"media {media_id!r} has no dataset_tag in the media index")
 
-    def frame_counts(key: tuple[str, int]) -> tuple[str, tuple[MatchCounts, ...]]:
-        media_id, frame = key
-        preds = dets.at(media_id, frame)
-        truth = gts.at(media_id, frame)
-        return tags[media_id], tuple(match_frame(preds, truth, thr) for thr in thresholds)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(frame_counts, frames))
-    else:
-        results = [frame_counts(key) for key in frames]
-
-    # Counts are integers, so the summation below is order-independent and
-    # the report is identical under any parallel schedule.
     per_group: dict[tuple[str, float], MatchCounts] = {}
     pooled: dict[float, MatchCounts] = {thr: MatchCounts() for thr in thresholds}
-    for tag, counts_per_thr in results:
-        for thr, counts in zip(thresholds, counts_per_thr):
-            key = (tag, thr)
+    for media_id, frame in frames:
+        preds = dets.at(media_id, frame)
+        truth = gts.at(media_id, frame)
+        for thr in thresholds:
+            counts = match_frame(preds, truth, thr)
+            key = (tags[media_id], thr)
             per_group[key] = per_group.get(key, MatchCounts()) + counts
             pooled[thr] = pooled[thr] + counts
 

@@ -10,7 +10,6 @@ interpolation is used, so every reported rate is exactly reproducible.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,10 +51,13 @@ class SubjectTemplate:
                 )
 
     @property
+    def rows(self) -> np.ndarray:
+        """Unit rows scored against probes: the mean vector, or every media vector."""
+        return self.media_vectors if self.vector is None else self.vector[None, :]
+
+    @property
     def dim(self) -> int:
-        if self.vector is not None:
-            return int(self.vector.shape[0])
-        return int(self.media_vectors.shape[1])
+        return int(self.rows.shape[1])
 
 
 def _normalized_rows(vectors, context: str) -> np.ndarray:
@@ -140,12 +142,6 @@ class ScoreMatrix:
         if not np.all(np.isfinite(self.scores)):
             raise ValidationError("scores must be finite")
 
-    def column(self, subject_id: str) -> int:
-        try:
-            return self.subject_ids.index(subject_id)
-        except ValueError:
-            raise KeyError(f"no gallery column for subject {subject_id!r}") from None
-
     def subset(self, probe_ids: Sequence[str]) -> "ScoreMatrix":
         index = {p: i for i, p in enumerate(self.probe_ids)}
         rows = [index[p] for p in probe_ids]
@@ -156,48 +152,11 @@ class ScoreMatrix:
         )
 
 
-def _template_columns(x: np.ndarray, gallery: Sequence[SubjectTemplate], metric: str) -> np.ndarray:
-    """Score rows of x against every template, preserving gallery order."""
-    dim = x.shape[1]
-    for t in gallery:
-        if t.dim != dim:
-            raise ValueError(f"template {t.subject_id!r} has dim {t.dim}, probes have {dim}")
-
-    cols = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
-    mean_idx = [j for j, t in enumerate(gallery) if t.vector is not None]
-    if mean_idx:
-        tmat = np.stack([gallery[j].vector for j in mean_idx])
-        if metric == "cosine":
-            block = x @ tmat.T
-        else:
-            sq = (
-                (x * x).sum(axis=1)[:, None]
-                - 2.0 * (x @ tmat.T)
-                + (tmat * tmat).sum(axis=1)[None, :]
-            )
-            block = -np.sqrt(np.maximum(sq, 0.0))
-        cols[:, mean_idx] = block
-    for j, t in enumerate(gallery):
-        if t.vector is not None:
-            continue
-        if metric == "cosine":
-            cols[:, j] = (x @ t.media_vectors.T).max(axis=1)
-        else:
-            sq = (
-                (x * x).sum(axis=1)[:, None]
-                - 2.0 * (x @ t.media_vectors.T)
-                + (t.media_vectors * t.media_vectors).sum(axis=1)[None, :]
-            )
-            cols[:, j] = -np.sqrt(np.maximum(sq, 0.0)).min(axis=1)
-    return cols
-
-
 def score(
     probes,
     gallery: Sequence[SubjectTemplate],
     metric: str = "cosine",
     probe_ids: Sequence[str] | None = None,
-    threads: int = 1,
 ) -> ScoreMatrix:
     """Similarity of every probe to every gallery template.
 
@@ -206,8 +165,10 @@ def score(
     land in [-1, 1]; neg_euclidean scores are negated distances to the
     template vectors.
 
-    Probes are scored in fixed-size chunks whose boundaries do not depend
-    on the thread count, so the matrix is identical for any `threads`.
+    Every template's unit rows are stacked once; each probe chunk is
+    scored against the whole stack and reduced to the best row of each
+    template. Chunks hold at most _SCORE_CHUNK x len(gallery) cells, so a
+    gallery of mean templates is chunked every _SCORE_CHUNK probes.
     """
     if metric not in SCORE_METRICS:
         raise ValueError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
@@ -225,20 +186,33 @@ def score(
         raise ValueError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
     if not gallery:
         raise ValueError("gallery is empty")
+    dim = x.shape[1]
+    for t in gallery:
+        if t.dim != dim:
+            raise ValueError(f"template {t.subject_id!r} has dim {t.dim}, probes have {dim}")
     if metric == "cosine":
         x = _normalized_rows(x, "probes")
 
-    chunks = [(lo, min(lo + _SCORE_CHUNK, x.shape[0])) for lo in range(0, x.shape[0], _SCORE_CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(lambda span: _template_columns(x[span[0] : span[1]], gallery, metric), chunks)
-            )
-    else:
-        blocks = [_template_columns(x[lo:hi], gallery, metric) for lo, hi in chunks]
-    scores = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    blocks = [t.rows for t in gallery]
+    rows = np.concatenate(blocks)
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    row_sq = (rows * rows).sum(axis=1) if metric == "neg_euclidean" else None
+    step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
+    scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
+    for lo in range(0, x.shape[0], step):
+        chunk = x[lo : lo + step]
+        block = chunk @ rows.T
+        if metric == "neg_euclidean":
+            # -sqrt(|x|^2 - 2 x.r + |r|^2), built in place on the product.
+            block *= -2.0
+            block += (chunk * chunk).sum(axis=1)[:, None]
+            block += row_sq
+            np.maximum(block, 0.0, out=block)
+            np.sqrt(block, out=block)
+            np.negative(block, out=block)
+        np.maximum.reduceat(block, starts, axis=1, out=scores[lo : lo + step])
     if metric == "cosine":
-        scores = np.clip(scores, -1.0, 1.0)
+        np.clip(scores, -1.0, 1.0, out=scores)
     scores.setflags(write=False)
     return ScoreMatrix(
         probe_ids=ids, subject_ids=tuple(t.subject_id for t in gallery), scores=scores
@@ -293,14 +267,13 @@ class Curve:
 def _mate_columns(matrix: ScoreMatrix, manifest: ProtocolManifest) -> dict[str, int | None]:
     """Map each matrix probe to its mate's gallery column (None for non-mates)."""
     probes = {p.probe_id: p for p in manifest.probes}
-    subjects = set(manifest.subject_ids)
     columns = {s: j for j, s in enumerate(matrix.subject_ids)}
     out: dict[str, int | None] = {}
     for probe_id in matrix.probe_ids:
         probe = probes.get(probe_id)
         if probe is None:
             raise ProtocolError(f"probe {probe_id!r} is not in the protocol")
-        if probe.true_subject_id is not None and probe.true_subject_id in subjects:
+        if manifest.is_mate(probe):
             if probe.true_subject_id not in columns:
                 raise ProtocolError(
                     f"mate subject {probe.true_subject_id!r} has no gallery column"
@@ -470,6 +443,8 @@ def fnir_fpir(
     curve reaches both axes; equal-FPIR points collapse to the lowest
     FNIR.
     """
+    if rank_cap is not None and rank_cap < 1:
+        raise ValueError(f"rank_cap must be positive, got {rank_cap}")
     mates = _mate_columns(matrix, manifest)
     mate_rows = [i for i, p in enumerate(matrix.probe_ids) if mates[p] is not None]
     non_mate_rows = [i for i, p in enumerate(matrix.probe_ids) if mates[p] is None]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -154,20 +155,13 @@ class ProtocolManifest:
     def distractor_count(self) -> int:
         return sum(1 for e in self.gallery if e.distractor)
 
-    def entry(self, subject_id: str) -> GalleryEntry:
-        for e in self.gallery:
-            if e.subject_id == subject_id:
-                return e
-        raise KeyError(subject_id)
-
-    def probe(self, probe_id: str) -> ProbeEntry:
-        for p in self.probes:
-            if p.probe_id == probe_id:
-                return p
-        raise KeyError(probe_id)
+    @cached_property
+    def enrolled_subjects(self) -> frozenset[str]:
+        """Gallery subject ids as a set, built once per manifest."""
+        return frozenset(self.subject_ids)
 
     def is_mate(self, probe: ProbeEntry) -> bool:
-        return probe.true_subject_id is not None and probe.true_subject_id in set(self.subject_ids)
+        return probe.true_subject_id is not None and probe.true_subject_id in self.enrolled_subjects
 
     def mate_probes(self) -> tuple[ProbeEntry, ...]:
         return tuple(p for p in self.probes if self.is_mate(p))

@@ -1,7 +1,7 @@
 """Immutable in-memory stores for detections, ground truth, embeddings, and media.
 
-Stores are read-only after construction and safe to share across worker
-threads. Loading the same file twice yields stores that compare equal.
+Stores are read-only after construction. Loading the same file twice
+yields stores that compare equal.
 """
 
 from __future__ import annotations
@@ -184,12 +184,6 @@ class EmbeddingStore:
             return self._matrix[self._index[media_id]]
         except KeyError:
             raise KeyError(f"no embedding for media {media_id!r}") from None
-
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(
-            EmbeddingRecord(m, tuple(float(v) for v in self._matrix[i]))
-            for i, m in enumerate(self._ids)
-        )
 
 
 class MediaIndex:

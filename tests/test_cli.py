@@ -148,16 +148,25 @@ class TestEvalId:
         report = read_json(out / "identification_report.json")
         assert report["rank_accuracy"]["1"] == 0.5
 
-    def test_threads_flag_keeps_reports_identical(self, toy_protocol_files, tmp_path):
+    def test_rerun_is_byte_identical(self, toy_protocol_files, tmp_path):
         emb_path, protocol_path = toy_protocol_files
         outs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"out{threads}"
+        for run in ("a", "b"):
+            out = tmp_path / run
             assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
-                         "--out", str(out), "--threads", threads]) == 0
+                         "--out", str(out)]) == 0
             outs.append(out)
-        for name in ("identification_report.json", "cmc.csv", "roc.csv", "openset.csv"):
+        names = ("identification_report.json", "cmc.csv", "roc.csv", "openset.csv",
+                 "run_manifest.json")
+        for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_rank_cap_below_one_exits_1(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(tmp_path / "out"), "--rank-cap", "0"])
+        assert code == 1
+        assert "rank_cap must be positive" in capsys.readouterr().err
 
 
 class TestPlanBatches:

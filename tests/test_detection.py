@@ -11,7 +11,6 @@ from biomeval import (
     prf1,
 )
 from biomeval.detection import DEFAULT_IOU_THRESHOLDS
-from biomeval.io import load_detections, load_ground_truth
 from biomeval.stores import DetectionStore, GroundTruthStore
 
 from conftest import det, gt, random_frame
@@ -215,11 +214,3 @@ class TestEvaluateDetections:
             evaluate_detections(dets, gts, thresholds=(0.0,))
         with pytest.raises(ValidationError):
             evaluate_detections(dets, gts, thresholds=(1.2,))
-
-    def test_threads_do_not_change_report(self, two_group_files):
-        det_path, gt_path = two_group_files
-        dets = load_detections(det_path)
-        gts = load_ground_truth(gt_path)
-        single = evaluate_detections(dets, gts, threads=1)
-        multi = evaluate_detections(dets, gts, threads=4)
-        assert single.to_dict() == multi.to_dict()

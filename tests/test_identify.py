@@ -18,7 +18,13 @@ from biomeval import (
     score,
     tar_at_far,
 )
-from biomeval.identify import DEFAULT_FAR_TARGETS, DEFAULT_RANKS, Curve
+from biomeval.identify import (
+    AGGREGATION_METHODS,
+    DEFAULT_FAR_TARGETS,
+    DEFAULT_RANKS,
+    SCORE_METRICS,
+    Curve,
+)
 
 from conftest import build_matrix_and_manifest, random_protocol
 from oracles import cosine_reference, euclidean, naive_cmc, naive_identification, naive_tar
@@ -101,14 +107,35 @@ class TestScore:
         matrix = score(np.array([[0.0, 3.0]]), [template], probe_ids=["p"])
         assert matrix.scores[0, 0] == 1.0
 
-    def test_threads_do_not_change_scores(self):
+    def test_stacked_scoring_matches_per_template_loop(self):
         rng = np.random.default_rng(82)
         probes = rng.normal(size=(2050, 8))
-        gallery = [aggregate_gallery(f"g{j}", rng.normal(size=(1, 8))) for j in range(7)]
         ids = [f"p{i}" for i in range(2050)]
-        one = score(probes, gallery, probe_ids=ids, threads=1)
-        many = score(probes, gallery, probe_ids=ids, threads=4)
-        assert np.array_equal(one.scores, many.scores)
+        media = [rng.normal(size=(m, 8)) for m in (1, 5, 3, 2, 4, 1, 5)]
+        unit = probes / np.linalg.norm(probes, axis=1, keepdims=True)
+        for method in AGGREGATION_METHODS:
+            gallery = [aggregate_gallery(f"g{j}", m, method) for j, m in enumerate(media)]
+            for metric in SCORE_METRICS:
+                got = score(probes, gallery, metric=metric, probe_ids=ids).scores
+                if metric == "cosine":
+                    cols = [np.clip((unit @ t.rows.T).max(axis=1), -1.0, 1.0) for t in gallery]
+                else:
+                    cols = [
+                        -np.linalg.norm(probes[:, None, :] - t.rows[None], axis=2).min(axis=1)
+                        for t in gallery
+                    ]
+                assert np.max(np.abs(got - np.column_stack(cols))) <= 1e-12, (method, metric)
+
+    def test_mean_scores_do_not_depend_on_probe_batching(self):
+        rng = np.random.default_rng(83)
+        probes = rng.normal(size=(2050, 8))
+        ids = [f"p{i}" for i in range(2050)]
+        gallery = [aggregate_gallery(f"g{j}", rng.normal(size=(3, 8))) for j in range(7)]
+        for metric in SCORE_METRICS:
+            whole = score(probes, gallery, metric=metric, probe_ids=ids).scores
+            head = score(probes[:1024], gallery, metric=metric, probe_ids=ids[:1024]).scores
+            tail = score(probes[1024:], gallery, metric=metric, probe_ids=ids[1024:]).scores
+            assert np.array_equal(whole, np.vstack([head, tail])), metric
 
 
 class TestCmc:
@@ -293,6 +320,12 @@ class TestFnirFpir:
         assert unbounded.points == ((1.0, 0.0),)
         capped = fnir_fpir(matrix, manifest, thresholds=[-10.0], rank_cap=1)
         assert capped.points == ((1.0, 0.5),)
+
+    def test_rank_cap_below_one_rejected(self):
+        matrix, manifest = self._fixture()
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="rank_cap"):
+                fnir_fpir(matrix, manifest, rank_cap=cap)
 
     def test_sweep_monotone_with_endpoints(self):
         rng = np.random.default_rng(87)
