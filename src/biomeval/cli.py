@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections
-from .errors import BiomevalError
+from .errors import BiomevalError, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
@@ -123,13 +123,22 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
+def _load_config_file(args) -> dict:
+    """The --config JSON object; its keys must be destinations of the subcommand's flags."""
+    if args.config is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise BiomevalError("config file must hold a JSON object")
+    # The parsed namespace holds every destination of the subcommand's parser,
+    # plus the subcommand name and handler; a config cannot name another config.
+    allowed = set(vars(args)) - {"command", "func", "config"}
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise BiomevalError(
+            f"config file has unknown keys {preview(unknown)}; allowed keys: {sorted(allowed)}"
+        )
     return doc
 
 
@@ -157,7 +166,7 @@ def _resolve_out(args, config: dict) -> Path:
 
 
 def _cmd_eval_det(args) -> int:
-    config = _load_config_file(args.config)
+    config = _load_config_file(args)
     inputs = {
         "detections": _required(_resolve(args, config, "det"), "--det"),
         "ground_truth": _required(_resolve(args, config, "gt"), "--gt"),
@@ -215,7 +224,14 @@ def _cmd_eval_det(args) -> int:
 
 
 def _cmd_eval_id(args) -> int:
-    config = _load_config_file(args.config)
+    config = _load_config_file(args)
+    rank_cap = _resolve(args, config, "rank_cap")
+    if rank_cap is not None and (
+        isinstance(rank_cap, bool) or not isinstance(rank_cap, int) or rank_cap < 1
+    ):
+        raise BiomevalError(
+            f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}"
+        )
     run = RunConfig(
         out_dir=_resolve_out(args, config),
         inputs={
@@ -231,7 +247,6 @@ def _cmd_eval_id(args) -> int:
     ranks = tuple(int(r) for r in _resolve(args, config, "ranks", list(DEFAULT_RANKS)))
     metric = _resolve(args, config, "metric", "cosine")
     aggregate = _resolve(args, config, "aggregate", "mean")
-    rank_cap = _resolve(args, config, "rank_cap")
     emb_format = _resolve(args, config, "format") or sniff_embedding_format(emb_path)
     out = run.out_dir
 
@@ -240,7 +255,7 @@ def _cmd_eval_id(args) -> int:
     check = validate_protocol(manifest, embeddings)
     if not check.ok:
         raise BiomevalError(
-            f"protocol references media without embeddings: {list(check.missing_media)}"
+            f"protocol references media without embeddings: {preview(check.missing_media)}"
         )
     if not manifest.probes:
         raise BiomevalError("protocol lists no probes")
@@ -312,7 +327,7 @@ def _cmd_eval_id(args) -> int:
 
 
 def _cmd_plan_batches(args) -> int:
-    config = _load_config_file(args.config)
+    config = _load_config_file(args)
     run = RunConfig(
         out_dir=_resolve_out(args, config),
         inputs={"media": _required(_resolve(args, config, "media"), "--media")},

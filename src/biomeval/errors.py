@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and helpers that keep their messages bounded."""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable, Sequence
+
+# Error messages that list ids show at most this many of them.
+MESSAGE_LIST_LIMIT = 10
+
+
+def duplicates(values: Iterable[str]) -> list[str]:
+    """Values that occur more than once, sorted; one counting pass."""
+    return sorted(v for v, n in Counter(values).items() if n > 1)
+
+
+def preview(items: Sequence[str]) -> str:
+    """The first MESSAGE_LIST_LIMIT items as a list, plus the total count when some are cut."""
+    shown = list(items[:MESSAGE_LIST_LIMIT])
+    if len(items) <= MESSAGE_LIST_LIMIT:
+        return str(shown)
+    return f"{shown} (first {MESSAGE_LIST_LIMIT} of {len(items)})"
 
 
 class BiomevalError(Exception):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError
+from .errors import ProtocolError, ValidationError, preview
 from .records import ProtocolManifest
 from .stores import EmbeddingStore
 
@@ -104,7 +104,7 @@ def build_gallery_templates(
     """One template per gallery entry, in manifest order."""
     missing = [m for m in manifest.referenced_media() if m not in embeddings]
     if missing:
-        raise ProtocolError(f"protocol references media without embeddings: {missing}")
+        raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
     return [
         aggregate_gallery(e.subject_id, [embeddings.vector(m) for m in e.media_ids], method)
         for e in manifest.gallery
@@ -119,7 +119,7 @@ def probe_matrix(
         raise ProtocolError("protocol lists no probes")
     missing = sorted({p.media_id for p in manifest.probes if p.media_id not in embeddings})
     if missing:
-        raise ProtocolError(f"protocol references media without embeddings: {missing}")
+        raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
     ids = tuple(p.probe_id for p in manifest.probes)
     rows = np.stack([embeddings.vector(p.media_id) for p in manifest.probes])
     return ids, rows

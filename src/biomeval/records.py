@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ValidationError
+from .errors import ValidationError, duplicates, preview
 
 MODALITIES = ("image", "video")
 
@@ -134,12 +134,10 @@ class ProtocolManifest:
     def __post_init__(self):
         subjects = [e.subject_id for e in self.gallery]
         if len(set(subjects)) != len(subjects):
-            dupes = sorted({s for s in subjects if subjects.count(s) > 1})
-            raise ValidationError(f"duplicate gallery subject ids: {dupes}")
+            raise ValidationError(f"duplicate gallery subject ids: {preview(duplicates(subjects))}")
         probe_ids = [p.probe_id for p in self.probes]
         if len(set(probe_ids)) != len(probe_ids):
-            dupes = sorted({p for p in probe_ids if probe_ids.count(p) > 1})
-            raise ValidationError(f"duplicate probe ids: {dupes}")
+            raise ValidationError(f"duplicate probe ids: {preview(duplicates(probe_ids))}")
         distractors = {e.subject_id for e in self.gallery if e.distractor}
         mated_distractors = sorted(
             {p.true_subject_id for p in self.probes if p.true_subject_id in distractors}

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, duplicates, preview
 from .records import (
     DetectionRecord,
     EmbeddingRecord,
@@ -135,6 +135,8 @@ class EmbeddingStore:
     """Fixed-dimension feature vectors keyed by media_id.
 
     All vectors share one dimension; the backing matrix is read-only.
+    Build one from records, or from ids and a ready matrix with from_matrix;
+    both go through the same checks.
     """
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
@@ -142,16 +144,41 @@ class EmbeddingStore:
         dims = {rec.dim for rec in records}
         if len(dims) > 1:
             raise ValidationError(f"embedding dimensions disagree: {sorted(dims)}")
-        ids = [rec.media_id for rec in records]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({m for m in ids if ids.count(m) > 1})
-            raise ValidationError(f"duplicate embedding media ids: {dupes}")
-        self._ids = tuple(ids)
-        self._index = {m: i for i, m in enumerate(self._ids)}
-        dim = dims.pop() if dims else 0
-        self._matrix = np.array([rec.vector for rec in records], dtype=np.float64)
-        self._matrix = self._matrix.reshape(len(records), dim)
-        self._matrix.setflags(write=False)
+        matrix = np.array([rec.vector for rec in records], dtype=np.float64)
+        matrix = matrix.reshape(len(records), dims.pop() if dims else 0)
+        self._adopt(tuple(rec.media_id for rec in records), matrix)
+
+    @classmethod
+    def from_matrix(cls, media_ids: Iterable[str], matrix: np.ndarray) -> EmbeddingStore:
+        """Store row i of a (count, dim) matrix under media_ids[i].
+
+        The store takes ownership of the matrix (no copy when it is already
+        float64) and marks it read-only.
+        """
+        store = cls.__new__(cls)
+        store._adopt(tuple(media_ids), np.asarray(matrix, dtype=np.float64))
+        return store
+
+    def _adopt(self, ids: tuple[str, ...], matrix: np.ndarray) -> None:
+        if matrix.ndim != 2:
+            raise ValidationError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
+        if matrix.shape[0] != len(ids):
+            raise ValidationError(
+                f"{len(ids)} media ids for an embedding matrix of {matrix.shape[0]} rows"
+            )
+        if ids and matrix.shape[1] == 0:
+            raise ValidationError(f"record 0: embedding for {ids[0]!r} is empty")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValidationError(f"record {i}: embedding for {ids[i]!r} has non-finite components")
+        index = {m: i for i, m in enumerate(ids)}
+        if len(index) != len(ids):
+            raise ValidationError(f"duplicate embedding media ids: {preview(duplicates(ids))}")
+        matrix.setflags(write=False)
+        self._ids = ids
+        self._index = index
+        self._matrix = matrix
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -193,8 +220,7 @@ class MediaIndex:
         self._records = tuple(records)
         ids = [rec.media_id for rec in self._records]
         if len(set(ids)) != len(ids):
-            dupes = sorted({m for m in ids if ids.count(m) > 1})
-            raise ValidationError(f"duplicate media ids: {dupes}")
+            raise ValidationError(f"duplicate media ids: {preview(duplicates(ids))}")
         self._by_id = {rec.media_id: rec for rec in self._records}
         by_subject: dict[str, list[str]] = {}
         by_tag: dict[str, list[str]] = {}

@@ -125,6 +125,19 @@ class TestEvalId:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_missing_embeddings_list_is_bounded(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        protocol = read_json(protocol_path)
+        protocol["probes"] += [{"probe_id": f"px{i}", "media_id": f"ghost{i:02d}",
+                                "true_subject_id": None} for i in range(25)]
+        bad_path = tmp_path / "bad_protocol.json"
+        bad_path.write_text(json.dumps(protocol), encoding="utf-8")
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(bad_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'ghost09'] (first 10 of 25)" in err and "ghost10" not in err
+
     def test_empty_probe_set_fails(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         protocol = read_json(protocol_path)
@@ -167,6 +180,34 @@ class TestEvalId:
                      "--out", str(tmp_path / "out"), "--rank-cap", "0"])
         assert code == 1
         assert "rank_cap must be positive" in capsys.readouterr().err
+
+    def test_rank_cap_below_one_rejected_without_open_set_curve(self, toy_protocol_files,
+                                                                 tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        protocol = read_json(protocol_path)
+        protocol["probes"] = [p for p in protocol["probes"] if p["true_subject_id"]]
+        mates_path = tmp_path / "all_mates.json"
+        mates_path.write_text(json.dumps(protocol), encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"rank_cap": 0}), encoding="utf-8")
+        base = ["eval-id", "--emb", str(emb_path), "--protocol", str(mates_path)]
+        for extra, out in ((["--rank-cap", "0"], "flag"), (["--config", str(config_path)], "cfg")):
+            code = main(base + extra + ["--out", str(tmp_path / out)])
+            assert code == 1
+            assert "rank_cap must be positive" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+        assert main(base + ["--rank-cap", "1", "--out", str(tmp_path / "ok")]) == 0
+
+    def test_unknown_config_key_rejected(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"threads": 4, "metric": "cosine"}), encoding="utf-8")
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown keys ['threads']" in err and "'rank_cap'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlanBatches:

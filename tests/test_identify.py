@@ -24,7 +24,10 @@ from biomeval.identify import (
     DEFAULT_RANKS,
     SCORE_METRICS,
     Curve,
+    build_gallery_templates,
+    probe_matrix,
 )
+from biomeval.stores import EmbeddingStore
 
 from conftest import build_matrix_and_manifest, random_protocol
 from oracles import cosine_reference, euclidean, naive_cmc, naive_identification, naive_tar
@@ -38,6 +41,15 @@ def manifest_for(subjects, probe_mates):
             ProbeEntry(f"p{i}", f"p{i}-media", mate) for i, mate in enumerate(probe_mates)
         ),
     )
+
+
+def test_missing_media_lists_are_bounded():
+    manifest = manifest_for([f"g{i:02d}" for i in range(30)], [None] * 12)
+    embeddings = EmbeddingStore.from_matrix(["unused"], np.ones((1, 2)))
+    with pytest.raises(ProtocolError, match=r"'g09-media'\] \(first 10 of 42\)$"):
+        build_gallery_templates(manifest, embeddings)
+    with pytest.raises(ProtocolError, match=r"\(first 10 of 12\)$"):
+        probe_matrix(manifest, embeddings)
 
 
 class TestAggregateGallery:

@@ -1,8 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biomeval import (
     EmbeddingRecord,
@@ -173,6 +176,123 @@ class TestEmbeddingFormats:
         write_embeddings(load_embeddings(text), binary, format="binary")
         assert sniff_embedding_format(text) == "text"
         assert sniff_embedding_format(binary) == "binary"
+
+
+def bemb(records, dim, count=None, tail=b""):
+    """Raw BEMB bytes for (id bytes, float32 values) records; count defaults to len(records)."""
+    out = [b"BEMB", struct.pack("<IIQ", 1, dim, len(records) if count is None else count)]
+    for media_id, values in records:
+        out += [struct.pack("<I", len(media_id)), media_id, struct.pack(f"<{dim}f", *values)]
+    return b"".join(out) + tail
+
+
+class TestHostileBinary:
+    def test_lying_count_fails_without_large_allocation(self, tmp_path):
+        path = tmp_path / "lie.bemb"
+        raw = bemb([(b"m", [1.0, 2.0])], dim=2, count=2**40)
+        path.write_bytes(raw + b"\x00" * (40 - len(raw)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated file while reading record 1"):
+                load_embeddings(path, format="binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_lying_dim_is_truncation(self, tmp_path):
+        path = tmp_path / "lie.bemb"
+        path.write_bytes(b"BEMB" + struct.pack("<IIQ", 1, 2**32 - 1, 1)
+                         + struct.pack("<I", 1) + b"m")
+        with pytest.raises(FormatError, match="truncated file while reading record 0 vector"):
+            load_embeddings(path, format="binary")
+
+    def test_invalid_utf8_id_names_record(self, tmp_path):
+        path = tmp_path / "bad.bemb"
+        path.write_bytes(bemb([(b"ok", [1.0]), (b"\xff\xfe", [2.0])], dim=1))
+        with pytest.raises(FormatError, match="record 1: media id is not valid UTF-8"):
+            load_embeddings(path, format="binary")
+
+    def test_nan_names_record(self, tmp_path):
+        path = tmp_path / "nan.bemb"
+        records = [(b"a", [1.0, 0.0]), (b"b", [0.0, 1.0]), (b"c", [float("nan"), 1.0])]
+        path.write_bytes(bemb(records, dim=2))
+        with pytest.raises(ValidationError, match="record 2: embedding for 'c' has non-finite"):
+            load_embeddings(path, format="binary")
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "tail.bemb"
+        path.write_bytes(bemb([(b"a", [1.0])], dim=1, tail=b"\x00"))
+        with pytest.raises(FormatError, match="trailing bytes after 1 declared records"):
+            load_embeddings(path, format="binary")
+
+    def test_structural_error_precedes_earlier_non_finite_value(self, tmp_path):
+        path = tmp_path / "both.bemb"
+        path.write_bytes(bemb([(b"a", [float("inf")])], dim=1, tail=b"\x00"))
+        with pytest.raises(FormatError, match="trailing bytes"):
+            load_embeddings(path, format="binary")
+
+    def test_duplicate_id(self, tmp_path):
+        path = tmp_path / "dup.bemb"
+        path.write_bytes(bemb([(b"a", [1.0]), (b"b", [2.0]), (b"a", [3.0])], dim=1))
+        with pytest.raises(ValidationError, match=r"duplicate embedding media ids: \['a'\]"):
+            load_embeddings(path, format="binary")
+
+    def test_load_matches_struct_decoding(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(5, 7)).astype(np.float32)
+        records = [("é" * i).encode("utf-8") for i in range(5)]
+        path = tmp_path / "e.bemb"
+        path.write_bytes(bemb(list(zip(records, values.tolist())), dim=7))
+        store = load_embeddings(path, format="binary")
+        assert store.media_ids == tuple(r.decode("utf-8") for r in records)
+        assert store.matrix.dtype == np.float64
+        assert np.array_equal(store.matrix, values.astype(np.float64))
+        assert not store.matrix.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda dim: st.lists(
+                st.tuples(
+                    st.text(max_size=6),
+                    st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                             min_size=dim, max_size=dim),
+                ),
+                max_size=50,
+                unique_by=lambda record: record[0],
+            ).map(lambda records: (dim, records))
+        )
+    )
+    def test_write_read_write_is_a_fixed_point(self, tmp_path_factory, case):
+        dim, records = case
+        directory = tmp_path_factory.mktemp("rt")
+        first, second = directory / "a.bemb", directory / "b.bemb"
+        first.write_bytes(bemb([(m.encode("utf-8"), v) for m, v in records], dim=dim))
+        store = load_embeddings(first, format="binary")
+        assert store.media_ids == tuple(m for m, _ in records)
+        write_embeddings(store, second, format="binary")
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_binary_load_memory_stays_near_file_size(tmp_path):
+    """Load peak stays under 4x the file: read buffer (1x) plus the float64 matrix (2x)."""
+    rng = np.random.default_rng(8)
+    count, dim = 2000, 512
+    matrix = rng.normal(size=(count, dim)).astype(np.float32).astype(np.float64)
+    path = tmp_path / "big.bemb"
+    write_embeddings(EmbeddingStore.from_matrix([f"media/{i}" for i in range(count)], matrix),
+                     path, format="binary")
+    size = path.stat().st_size
+    assert size > 4_000_000
+    tracemalloc.start()
+    try:
+        store = load_embeddings(path, format="binary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(store.matrix, matrix)
+    assert peak < 4 * size, f"peak {peak} bytes is {peak / size:.1f}x the {size}-byte file"
 
 
 class TestProtocolAndMedia:

@@ -96,6 +96,15 @@ class TestProtocolManifest:
                 probes=(),
             )
 
+    def test_duplicate_subjects_and_probes_listed_boundedly(self):
+        gallery = tuple(GalleryEntry(f"g{i % 30}", ("m",)) for i in range(60))
+        with pytest.raises(ValidationError,
+                           match=r"duplicate gallery subject ids: .*\(first 10 of 30\)"):
+            ProtocolManifest(gallery=gallery, probes=())
+        probes = tuple(ProbeEntry(f"p{i % 12}", "m") for i in range(24))
+        with pytest.raises(ValidationError, match=r"duplicate probe ids: .*\(first 10 of 12\)"):
+            ProtocolManifest(gallery=(), probes=probes)
+
     def test_distractor_with_mate_probe_rejected(self):
         with pytest.raises(ValidationError):
             ProtocolManifest(
@@ -144,6 +153,40 @@ class TestStores:
         assert store.vector("a").tolist() == [1.0, 2.0]
         with pytest.raises(KeyError):
             store.vector("missing")
+
+    def test_from_matrix_equals_records_store(self):
+        rows = [(1.0, 2.0), (3.0, -4.0)]
+        records = EmbeddingStore([EmbeddingRecord(m, r) for m, r in zip("ab", rows)])
+        store = EmbeddingStore.from_matrix(["a", "b"], np.array(rows))
+        assert store == records
+        assert not store.matrix.flags.writeable
+
+    def test_from_matrix_checks(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            EmbeddingStore.from_matrix(["a"], np.ones(3))
+        with pytest.raises(ValidationError, match="2 media ids for an embedding matrix of 3 rows"):
+            EmbeddingStore.from_matrix(["a", "b"], np.ones((3, 2)))
+        with pytest.raises(ValidationError, match="record 0: embedding for 'a' is empty"):
+            EmbeddingStore.from_matrix(["a"], np.ones((1, 0)))
+        matrix = np.ones((4, 2))
+        matrix[2, 1] = np.inf
+        matrix[3, 0] = np.nan
+        with pytest.raises(ValidationError, match="record 2: embedding for 'c' has non-finite"):
+            EmbeddingStore.from_matrix(["a", "b", "c", "d"], matrix)
+        with pytest.raises(ValidationError, match=r"duplicate embedding media ids: \['a'\]"):
+            EmbeddingStore.from_matrix(["a", "b", "a"], np.ones((3, 2)))
+
+    def test_duplicate_ids_rejected_in_one_pass_with_bounded_message(self):
+        # 20k ids with 25 duplicated; a count() per id took seconds here.
+        ids = [f"m{i}" for i in range(20_000)] + [f"m{i}" for i in range(25)]
+        with pytest.raises(ValidationError) as info:
+            EmbeddingStore.from_matrix(ids, np.zeros((len(ids), 1)))
+        message = str(info.value)
+        assert "'m0', 'm1', 'm10', 'm11'" in message
+        assert "(first 10 of 25)" in message and "'m9'" not in message
+        media = [MediaRecord(m, "s", "alpha", "image", 1) for m in ids]
+        with pytest.raises(ValidationError, match=r"duplicate media ids: .*\(first 10 of 25\)"):
+            MediaIndex(media)
 
     def test_media_index_groupings(self):
         index = MediaIndex(
