@@ -26,6 +26,7 @@ from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
     Curve,
+    IdentificationEval,
     OperatingPoint,
     ScoreMatrix,
     SubjectTemplate,
@@ -75,7 +76,6 @@ from .records import (
     EmbeddingRecord,
     GalleryEntry,
     GroundTruthRecord,
-    LossConfig,
     MediaRecord,
     ProbeEntry,
     ProtocolManifest,

@@ -22,14 +22,11 @@ from .errors import BiomevalError, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
+    IdentificationEval,
     build_gallery_templates,
-    cmc,
-    fnir_fpir,
+    far_target,
     probe_matrix,
-    rank_k_accuracy,
-    roc_curve,
     score,
-    tar_at_far,
 )
 from .io import (
     load_detections,
@@ -52,7 +49,11 @@ from .sampling import (
     pk_batches,
     sample_media,
 )
-from .stores import validate_protocol
+
+# eval-id no longer calls these; perfbench/trace_child.py wraps them by their
+# names in this module, so they stay importable from here.
+from .identify import cmc, fnir_fpir, rank_k_accuracy, roc_curve, tar_at_far  # noqa: F401
+from .stores import validate_protocol  # noqa: F401
 
 
 def round6(value: float) -> float:
@@ -71,7 +72,6 @@ class RunConfig:
     out_dir: Path
     inputs: dict[str, str] = field(default_factory=dict)
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
-    far_targets: tuple[float, ...] = DEFAULT_FAR_TARGETS
     seed: int = 0
 
     def __post_init__(self):
@@ -81,9 +81,6 @@ class RunConfig:
         for thr in self.iou_thresholds:
             if not (0.0 < thr <= 1.0):
                 raise BiomevalError(f"IoU thresholds must lie in (0, 1], got {thr!r}")
-        for f in self.far_targets:
-            if f < 0:
-                raise BiomevalError(f"FAR targets must be non-negative, got {f!r}")
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
 
@@ -232,19 +229,22 @@ def _cmd_eval_id(args) -> int:
         raise BiomevalError(
             f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}"
         )
+    far_targets = tuple(
+        far_target(f) for f in _resolve(args, config, "far", list(DEFAULT_FAR_TARGETS))
+    )
+    ranks = tuple(int(r) for r in _resolve(args, config, "ranks", list(DEFAULT_RANKS)))
+    if any(k < 1 for k in ranks):
+        raise BiomevalError(f"ranks must be positive, got {list(ranks)}")
     run = RunConfig(
         out_dir=_resolve_out(args, config),
         inputs={
             "embeddings": _required(_resolve(args, config, "emb"), "--emb"),
             "protocol": _required(_resolve(args, config, "protocol"), "--protocol"),
         },
-        far_targets=tuple(_resolve(args, config, "far", list(DEFAULT_FAR_TARGETS))),
         seed=int(_resolve(args, config, "seed", 0)),
     )
     emb_path = run.inputs["embeddings"]
     protocol_path = run.inputs["protocol"]
-    far_targets = run.far_targets
-    ranks = tuple(int(r) for r in _resolve(args, config, "ranks", list(DEFAULT_RANKS)))
     metric = _resolve(args, config, "metric", "cosine")
     aggregate = _resolve(args, config, "aggregate", "mean")
     emb_format = _resolve(args, config, "format") or sniff_embedding_format(emb_path)
@@ -252,39 +252,28 @@ def _cmd_eval_id(args) -> int:
 
     embeddings = load_embeddings(emb_path, format=emb_format)
     manifest = load_protocol(protocol_path)
-    check = validate_protocol(manifest, embeddings)
-    if not check.ok:
-        raise BiomevalError(
-            f"protocol references media without embeddings: {preview(check.missing_media)}"
-        )
-    if not manifest.probes:
-        raise BiomevalError("protocol lists no probes")
-
     gallery = build_gallery_templates(manifest, embeddings, method=aggregate)
     probe_ids, probes = probe_matrix(manifest, embeddings)
     matrix = score(probes, gallery, metric=metric, probe_ids=probe_ids)
 
-    mate_ids = list(check.mate_probe_ids)
-    if not mate_ids:
+    evaluation = IdentificationEval(matrix, manifest)
+    if not evaluation.mate_rows.size:
         raise BiomevalError("protocol has no mate searches; nothing to rank")
-    mate_matrix = matrix.subset(mate_ids)
 
     gallery_size = len(manifest.gallery)
-    rank_accuracy = {str(k): rank_k_accuracy(mate_matrix, manifest, k) for k in ranks}
-    operating_points = tar_at_far(matrix, manifest, far_targets)
-    cmc_curve = cmc(mate_matrix, manifest)
-    roc = roc_curve(matrix, manifest)
+    rank_accuracy = {str(k): evaluation.rank_k_accuracy(k) for k in ranks}
+    operating_points = evaluation.tar_at_far(far_targets)
+    cmc_curve = evaluation.cmc()
+    roc = evaluation.roc_curve()
 
     outputs = ["identification_report.json", "cmc.csv", "roc.csv"]
     cmc_curve.to_csv(out / "cmc.csv", columns=("rank", "accuracy"))
     roc.to_csv(out / "roc.csv", columns=("far", "tar", "threshold"))
 
-    open_set_written = False
-    if check.non_mate_probe_ids:
-        open_set = fnir_fpir(matrix, manifest, rank_cap=rank_cap)
+    if evaluation.non_mate_rows.size:
+        open_set = evaluation.fnir_fpir(rank_cap=rank_cap)
         open_set.to_csv(out / "openset.csv", columns=("fpir", "fnir", "threshold"))
         outputs.append("openset.csv")
-        open_set_written = True
 
     report = {
         "ranks": list(ranks),
@@ -293,20 +282,20 @@ def _cmd_eval_id(args) -> int:
         "tar_at_far": [p.as_dict() for p in operating_points],
         "counts": {
             "probes": len(manifest.probes),
-            "mate_searches": len(check.mate_probe_ids),
-            "non_mate_searches": len(check.non_mate_probe_ids),
+            "mate_searches": evaluation.mate_rows.size,
+            "non_mate_searches": evaluation.non_mate_rows.size,
             "gallery_subjects": gallery_size,
-            "distractors": check.distractor_count,
+            "distractors": manifest.distractor_count,
         },
         "metric": metric,
         "aggregation": aggregate,
         "rank_cap": rank_cap,
-        "open_set_curve": open_set_written,
+        "open_set_curve": "openset.csv" in outputs,
     }
     _write_json(out / "identification_report.json", report)
     print(
         f"identification over {len(manifest.probes)} probes, {gallery_size} gallery subjects "
-        f"({check.distractor_count} distractors)"
+        f"({manifest.distractor_count} distractors)"
     )
     for k in ranks:
         print(f"  rank-{k} accuracy: {round6(rank_accuracy[str(k)])}")

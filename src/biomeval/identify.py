@@ -10,7 +10,9 @@ interpolation is used, so every reported rate is exactly reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -264,81 +266,6 @@ class Curve:
                 writer.writerow(row)
 
 
-def _mate_columns(matrix: ScoreMatrix, manifest: ProtocolManifest) -> dict[str, int | None]:
-    """Map each matrix probe to its mate's gallery column (None for non-mates)."""
-    probes = {p.probe_id: p for p in manifest.probes}
-    columns = {s: j for j, s in enumerate(matrix.subject_ids)}
-    out: dict[str, int | None] = {}
-    for probe_id in matrix.probe_ids:
-        probe = probes.get(probe_id)
-        if probe is None:
-            raise ProtocolError(f"probe {probe_id!r} is not in the protocol")
-        if manifest.is_mate(probe):
-            if probe.true_subject_id not in columns:
-                raise ProtocolError(
-                    f"mate subject {probe.true_subject_id!r} has no gallery column"
-                )
-            out[probe_id] = columns[probe.true_subject_id]
-        else:
-            out[probe_id] = None
-    return out
-
-
-def _pessimistic_ranks(matrix: ScoreMatrix, manifest: ProtocolManifest) -> np.ndarray:
-    """Mate ranks for an all-mate matrix; ties count against the mate."""
-    mates = _mate_columns(matrix, manifest)
-    non_mates = [p for p, col in mates.items() if col is None]
-    if non_mates:
-        raise ProtocolError(f"non-mate searches cannot be ranked: {non_mates}")
-    if not matrix.probe_ids:
-        raise ProtocolError("no mate searches to rank")
-    cols = np.array([mates[p] for p in matrix.probe_ids])
-    mate_scores = matrix.scores[np.arange(len(cols)), cols]
-    # The mate's own >= comparison contributes the leading 1.
-    return (matrix.scores >= mate_scores[:, None]).sum(axis=1)
-
-
-def cmc(matrix: ScoreMatrix, manifest: ProtocolManifest, max_rank: int | None = None) -> Curve:
-    """Cumulative match characteristic over mate searches.
-
-    CMC(r) is the fraction of probes whose mate has pessimistic rank <= r,
-    for r = 1..max_rank (default: the gallery size).
-    """
-    ranks = _pessimistic_ranks(matrix, manifest)
-    gallery_size = len(matrix.subject_ids)
-    if max_rank is None:
-        max_rank = gallery_size
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be positive, got {max_rank}")
-    hits = np.bincount(np.minimum(ranks, max_rank + 1), minlength=max_rank + 2)
-    accuracy = np.cumsum(hits[1 : max_rank + 1]) / ranks.size
-    points = tuple((float(r), float(a)) for r, a in enumerate(accuracy, start=1))
-    return Curve(points=points, x_label="rank", y_label="cumulative match accuracy")
-
-
-def rank_k_accuracy(matrix: ScoreMatrix, manifest: ProtocolManifest, k: int) -> float:
-    """Fraction of mate searches whose mate ranks within the top k."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    ranks = _pessimistic_ranks(matrix, manifest)
-    return float((ranks <= k).mean())
-
-
-def _genuine_impostor(
-    matrix: ScoreMatrix, manifest: ProtocolManifest
-) -> tuple[np.ndarray, np.ndarray]:
-    """Genuine scores (mate probe vs mate) and impostor scores (probe vs non-mate column)."""
-    mates = _mate_columns(matrix, manifest)
-    impostor_mask = np.ones(matrix.scores.shape, dtype=bool)
-    genuine = []
-    for i, probe_id in enumerate(matrix.probe_ids):
-        col = mates[probe_id]
-        if col is not None:
-            genuine.append(matrix.scores[i, col])
-            impostor_mask[i, col] = False
-    return np.asarray(genuine, dtype=np.float64), matrix.scores[impostor_mask]
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     far_target: float
@@ -355,77 +282,231 @@ class OperatingPoint:
         }
 
 
+def far_target(value) -> float:
+    """A false-accept-rate target as a float; it must be finite and non-negative."""
+    f = float(value)
+    if not (math.isfinite(f) and f >= 0):
+        raise ValueError(f"FAR target must be finite and non-negative, got {value!r}")
+    return f
+
+
+class IdentificationEval:
+    """One score matrix read against one protocol, shared by every metric.
+
+    The mate column of each probe is found once on construction; the
+    pessimistic mate ranks and the ascending impostor scores are computed
+    on first use and reused by every metric that reads them. Rank metrics
+    cover the mate rows only; non-mate rows add impostor scores and
+    open-set searches.
+    """
+
+    def __init__(self, matrix: ScoreMatrix, manifest: ProtocolManifest):
+        probes = {p.probe_id: p for p in manifest.probes}
+        columns = {s: j for j, s in enumerate(matrix.subject_ids)}
+        mate_columns = np.full(len(matrix.probe_ids), -1, dtype=np.intp)
+        for i, probe_id in enumerate(matrix.probe_ids):
+            probe = probes.get(probe_id)
+            if probe is None:
+                raise ProtocolError(f"probe {probe_id!r} is not in the protocol")
+            if manifest.is_mate(probe):
+                if probe.true_subject_id not in columns:
+                    raise ProtocolError(
+                        f"mate subject {probe.true_subject_id!r} has no gallery column"
+                    )
+                mate_columns[i] = columns[probe.true_subject_id]
+        self.matrix = matrix
+        self.mate_rows = np.flatnonzero(mate_columns >= 0)
+        self.non_mate_rows = np.flatnonzero(mate_columns < 0)
+        self._mate_columns = mate_columns[self.mate_rows]
+        self.genuine = matrix.scores[self.mate_rows, self._mate_columns]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Pessimistic rank of each mate row's mate; ties count against the mate."""
+        if not self.mate_rows.size:
+            raise ProtocolError("no mate searches to rank")
+        # Non-mate rows compare against +inf and count nothing; the mate's own
+        # >= comparison contributes the leading 1.
+        bar = np.full(len(self.matrix.probe_ids), np.inf)
+        bar[self.mate_rows] = self.genuine
+        return (self.matrix.scores >= bar[:, None]).sum(axis=1)[self.mate_rows]
+
+    @cached_property
+    def impostor(self) -> np.ndarray:
+        """Scores of every probe against every column but its mate's, ascending."""
+        mask = np.ones(self.matrix.scores.shape, dtype=bool)
+        mask[self.mate_rows, self._mate_columns] = False
+        out = self.matrix.scores[mask]
+        out.sort()
+        out.setflags(write=False)
+        return out
+
+    def _require_genuine_and_impostor(self) -> None:
+        impostors = self.matrix.scores.size - self.genuine.size
+        if self.genuine.size == 0 or impostors == 0:
+            raise ProtocolError(
+                f"need at least one genuine and one impostor score, "
+                f"got {self.genuine.size} and {impostors}"
+            )
+
+    def rank_k_accuracy(self, k: int) -> float:
+        """Fraction of mate searches whose mate ranks within the top k."""
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        return float((self.ranks <= k).mean())
+
+    def cmc(self, max_rank: int | None = None) -> Curve:
+        """Cumulative match characteristic over the mate searches.
+
+        CMC(r) is the fraction of mate searches whose mate has pessimistic
+        rank <= r, for r = 1..max_rank (default: the gallery size).
+        """
+        ranks = self.ranks
+        if max_rank is None:
+            max_rank = len(self.matrix.subject_ids)
+        if max_rank < 1:
+            raise ValueError(f"max_rank must be positive, got {max_rank}")
+        hits = np.bincount(np.minimum(ranks, max_rank + 1), minlength=max_rank + 2)
+        accuracy = np.cumsum(hits[1 : max_rank + 1]) / ranks.size
+        points = tuple((float(r), float(a)) for r, a in enumerate(accuracy, start=1))
+        return Curve(points=points, x_label="rank", y_label="cumulative match accuracy")
+
+    def tar_at_far(
+        self, far_targets: Sequence[float] = DEFAULT_FAR_TARGETS
+    ) -> list[OperatingPoint]:
+        """True accept rate at thresholds hit by each false-accept-rate target.
+
+        For a target f over N impostor scores, the threshold is the
+        (floor(f*N) + 1)-th largest impostor score (+inf when that order
+        statistic does not exist) and acceptance means score > threshold, so
+        the achieved FAR never exceeds the target.
+        """
+        self._require_genuine_and_impostor()
+        targets = [far_target(f) for f in far_targets]
+        ascending = self.impostor
+        n = ascending.size
+        points = []
+        for f in targets:
+            m = int(np.floor(min(f * n, n)))
+            threshold = float(ascending[n - 1 - m]) if m < n else np.inf
+            # count(impostor > t) = N - first index past t in the sorted array.
+            accepted = n - int(np.searchsorted(ascending, threshold, side="right"))
+            points.append(
+                OperatingPoint(
+                    far_target=f,
+                    threshold=threshold,
+                    tar=float((self.genuine > threshold).mean()),
+                    achieved_far=accepted / n,
+                )
+            )
+        return points
+
+    def roc_curve(self, max_points: int = 4096) -> Curve:
+        """TAR-vs-FAR sweep over impostor-score thresholds.
+
+        Thresholds are distinct impostor scores; when there are more than
+        max_points of them, evenly spaced order statistics are used instead,
+        so every emitted point is still an exact operating point.
+        """
+        self._require_genuine_and_impostor()
+        if max_points < 2:
+            raise ValueError(f"max_points must be at least 2, got {max_points}")
+        imp_sorted = self.impostor
+        gen_sorted = np.sort(self.genuine)
+        if imp_sorted.size > max_points:
+            positions = np.unique(np.linspace(0, imp_sorted.size - 1, max_points).round().astype(int))
+            taus = np.concatenate(([-np.inf], np.unique(imp_sorted[positions])))
+        else:
+            taus = np.concatenate(([-np.inf], np.unique(imp_sorted)))
+        # count(x > t) = len(x) - first index past t in the sorted array.
+        fars = (imp_sorted.size - np.searchsorted(imp_sorted, taus, side="right")) / imp_sorted.size
+        tars = (gen_sorted.size - np.searchsorted(gen_sorted, taus, side="right")) / gen_sorted.size
+        # fars is non-increasing along ascending taus, so the first occurrence
+        # of each FAR value is its plateau's smallest tau and largest TAR.
+        unique_fars, first = np.unique(fars, return_index=True)
+        return Curve(
+            points=tuple(zip(unique_fars.tolist(), tars[first].tolist())),
+            x_label="false accept rate",
+            y_label="true accept rate",
+            thresholds=tuple(taus[first].tolist()),
+        )
+
+    def fnir_fpir(self, thresholds="sweep", rank_cap: int | None = None) -> Curve:
+        """Open-set miss/false-alarm trade-off as a (FPIR, FNIR) curve.
+
+        FPIR(t) is the fraction of non-mate searches whose top gallery score
+        reaches t; FNIR(t) is the fraction of mate searches whose mate scores
+        below t or (with rank_cap set) ranks outside the cap. "sweep" uses
+        every distinct per-probe top score plus -inf/+inf sentinels so the
+        curve reaches both axes; equal-FPIR points collapse to the lowest
+        FNIR.
+        """
+        if rank_cap is not None and rank_cap < 1:
+            raise ValueError(f"rank_cap must be positive, got {rank_cap}")
+        if not self.mate_rows.size:
+            raise ProtocolError("no mate searches in the matrix")
+        if not self.non_mate_rows.size:
+            raise ProtocolError("no non-mate searches in the matrix")
+        tops = self.matrix.scores.max(axis=1)
+        if isinstance(thresholds, str):
+            if thresholds != "sweep":
+                raise ValueError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
+            taus = np.concatenate(([-np.inf], np.unique(tops), [np.inf]))
+        else:
+            taus = np.sort(np.asarray(list(thresholds), dtype=np.float64))
+            if taus.size == 0:
+                raise ValueError("at least one threshold is required")
+
+        in_cap = self.genuine if rank_cap is None else self.genuine[self.ranks <= rank_cap]
+        nm_sorted = np.sort(tops[self.non_mate_rows])
+        in_cap_sorted = np.sort(in_cap)
+        n_mates = self.genuine.size
+        n_out = n_mates - in_cap.size
+        # count(x >= t) needs side="left"; count(x < t) is its complement.
+        fpirs = (nm_sorted.size - np.searchsorted(nm_sorted, taus, side="left")) / nm_sorted.size
+        fnirs = (np.searchsorted(in_cap_sorted, taus, side="left") + n_out) / n_mates
+        # fpirs is non-increasing along ascending taus, so the first occurrence
+        # of each FPIR value carries the plateau's smallest tau and FNIR.
+        unique_fpirs, first = np.unique(fpirs, return_index=True)
+        return Curve(
+            points=tuple(zip(unique_fpirs.tolist(), fnirs[first].tolist())),
+            x_label="false positive identification rate",
+            y_label="false negative identification rate",
+            thresholds=tuple(taus[first].tolist()),
+        )
+
+
+def _all_mate_eval(matrix: ScoreMatrix, manifest: ProtocolManifest) -> IdentificationEval:
+    """The evaluation of a matrix whose every row is a mate search."""
+    evaluation = IdentificationEval(matrix, manifest)
+    if evaluation.non_mate_rows.size:
+        non_mates = [matrix.probe_ids[i] for i in evaluation.non_mate_rows]
+        raise ProtocolError(f"non-mate searches cannot be ranked: {preview(non_mates)}")
+    return evaluation
+
+
+def cmc(matrix: ScoreMatrix, manifest: ProtocolManifest, max_rank: int | None = None) -> Curve:
+    """IdentificationEval.cmc of an all-mate matrix."""
+    return _all_mate_eval(matrix, manifest).cmc(max_rank)
+
+
+def rank_k_accuracy(matrix: ScoreMatrix, manifest: ProtocolManifest, k: int) -> float:
+    """IdentificationEval.rank_k_accuracy of an all-mate matrix."""
+    return _all_mate_eval(matrix, manifest).rank_k_accuracy(k)
+
+
 def tar_at_far(
     matrix: ScoreMatrix,
     manifest: ProtocolManifest,
     far_targets: Sequence[float] = DEFAULT_FAR_TARGETS,
 ) -> list[OperatingPoint]:
-    """True accept rate at thresholds hit by each false-accept-rate target.
-
-    For a target f over N impostor scores, the threshold is the
-    (floor(f*N) + 1)-th largest impostor score (+inf when that order
-    statistic does not exist) and acceptance means score > threshold, so
-    the achieved FAR never exceeds the target.
-    """
-    genuine, impostor = _genuine_impostor(matrix, manifest)
-    if genuine.size == 0 or impostor.size == 0:
-        raise ProtocolError(
-            f"need at least one genuine and one impostor score, "
-            f"got {genuine.size} and {impostor.size}"
-        )
-    descending = np.sort(impostor)[::-1]
-    n = descending.size
-    points = []
-    for f in far_targets:
-        if f < 0:
-            raise ValueError(f"FAR target must be non-negative, got {f!r}")
-        m = int(np.floor(f * n))
-        threshold = float(descending[m]) if m < n else np.inf
-        points.append(
-            OperatingPoint(
-                far_target=float(f),
-                threshold=threshold,
-                tar=float((genuine > threshold).mean()),
-                achieved_far=float((impostor > threshold).mean()),
-            )
-        )
-    return points
+    """IdentificationEval.tar_at_far."""
+    return IdentificationEval(matrix, manifest).tar_at_far(far_targets)
 
 
 def roc_curve(matrix: ScoreMatrix, manifest: ProtocolManifest, max_points: int = 4096) -> Curve:
-    """TAR-vs-FAR sweep over impostor-score thresholds.
-
-    Thresholds are distinct impostor scores; when there are more than
-    max_points of them, evenly spaced order statistics are used instead,
-    so every emitted point is still an exact operating point.
-    """
-    genuine, impostor = _genuine_impostor(matrix, manifest)
-    if genuine.size == 0 or impostor.size == 0:
-        raise ProtocolError(
-            f"need at least one genuine and one impostor score, "
-            f"got {genuine.size} and {impostor.size}"
-        )
-    if max_points < 2:
-        raise ValueError(f"max_points must be at least 2, got {max_points}")
-    imp_sorted = np.sort(impostor)
-    gen_sorted = np.sort(genuine)
-    if imp_sorted.size > max_points:
-        positions = np.unique(np.linspace(0, imp_sorted.size - 1, max_points).round().astype(int))
-        taus = np.concatenate(([-np.inf], np.unique(imp_sorted[positions])))
-    else:
-        taus = np.concatenate(([-np.inf], np.unique(imp_sorted)))
-    # count(x > t) = len(x) - first index past t in the sorted array.
-    fars = (imp_sorted.size - np.searchsorted(imp_sorted, taus, side="right")) / imp_sorted.size
-    tars = (gen_sorted.size - np.searchsorted(gen_sorted, taus, side="right")) / gen_sorted.size
-    # fars is non-increasing along ascending taus, so the first occurrence
-    # of each FAR value is its plateau's smallest tau and largest TAR.
-    unique_fars, first = np.unique(fars, return_index=True)
-    return Curve(
-        points=tuple(zip(unique_fars.tolist(), tars[first].tolist())),
-        x_label="false accept rate",
-        y_label="true accept rate",
-        thresholds=tuple(taus[first].tolist()),
-    )
+    """IdentificationEval.roc_curve."""
+    return IdentificationEval(matrix, manifest).roc_curve(max_points)
 
 
 def fnir_fpir(
@@ -434,58 +515,5 @@ def fnir_fpir(
     thresholds="sweep",
     rank_cap: int | None = None,
 ) -> Curve:
-    """Open-set miss/false-alarm trade-off as a (FPIR, FNIR) curve.
-
-    FPIR(t) is the fraction of non-mate searches whose top gallery score
-    reaches t; FNIR(t) is the fraction of mate searches whose mate scores
-    below t or (with rank_cap set) ranks outside the cap. "sweep" uses
-    every distinct per-probe top score plus -inf/+inf sentinels so the
-    curve reaches both axes; equal-FPIR points collapse to the lowest
-    FNIR.
-    """
-    if rank_cap is not None and rank_cap < 1:
-        raise ValueError(f"rank_cap must be positive, got {rank_cap}")
-    mates = _mate_columns(matrix, manifest)
-    mate_rows = [i for i, p in enumerate(matrix.probe_ids) if mates[p] is not None]
-    non_mate_rows = [i for i, p in enumerate(matrix.probe_ids) if mates[p] is None]
-    if not mate_rows:
-        raise ProtocolError("no mate searches in the matrix")
-    if not non_mate_rows:
-        raise ProtocolError("no non-mate searches in the matrix")
-
-    mate_scores = np.array(
-        [matrix.scores[i, mates[matrix.probe_ids[i]]] for i in mate_rows], dtype=np.float64
-    )
-    mate_sub = matrix.subset([matrix.probe_ids[i] for i in mate_rows])
-    ranks = _pessimistic_ranks(mate_sub, manifest)
-    out_of_cap = (
-        np.zeros(len(mate_rows), dtype=bool) if rank_cap is None else ranks > rank_cap
-    )
-    non_mate_top = matrix.scores[non_mate_rows].max(axis=1)
-
-    if isinstance(thresholds, str):
-        if thresholds != "sweep":
-            raise ValueError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
-        tops = matrix.scores.max(axis=1)
-        taus = np.concatenate(([-np.inf], np.unique(tops), [np.inf]))
-    else:
-        taus = np.sort(np.asarray(list(thresholds), dtype=np.float64))
-        if taus.size == 0:
-            raise ValueError("at least one threshold is required")
-
-    nm_sorted = np.sort(non_mate_top)
-    in_cap_sorted = np.sort(mate_scores[~out_of_cap])
-    n_mates = mate_scores.size
-    n_out = int(out_of_cap.sum())
-    # count(x >= t) needs side="left"; count(x < t) is its complement.
-    fpirs = (nm_sorted.size - np.searchsorted(nm_sorted, taus, side="left")) / nm_sorted.size
-    fnirs = (np.searchsorted(in_cap_sorted, taus, side="left") + n_out) / n_mates
-    # fpirs is non-increasing along ascending taus, so the first occurrence
-    # of each FPIR value carries the plateau's smallest tau and FNIR.
-    unique_fpirs, first = np.unique(fpirs, return_index=True)
-    return Curve(
-        points=tuple(zip(unique_fpirs.tolist(), fnirs[first].tolist())),
-        x_label="false positive identification rate",
-        y_label="false negative identification rate",
-        thresholds=tuple(taus[first].tolist()),
-    )
+    """IdentificationEval.fnir_fpir."""
+    return IdentificationEval(matrix, manifest).fnir_fpir(thresholds, rank_cap)

@@ -1,4 +1,4 @@
-"""Domain types: boxes, annotation records, embeddings, protocols, loss settings."""
+"""Domain types: boxes, annotation records, embeddings, protocols."""
 
 from __future__ import annotations
 
@@ -143,7 +143,9 @@ class ProtocolManifest:
             {p.true_subject_id for p in self.probes if p.true_subject_id in distractors}
         )
         if mated_distractors:
-            raise ValidationError(f"distractor subjects have mate probes: {mated_distractors}")
+            raise ValidationError(
+                f"distractor subjects have mate probes: {preview(mated_distractors)}"
+            )
 
     @property
     def subject_ids(self) -> tuple[str, ...]:
@@ -176,24 +178,3 @@ class ProtocolManifest:
         for p in self.probes:
             seen.setdefault(p.media_id, None)
         return tuple(seen)
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Knobs for the training objectives.
-
-    beta is the smooth-L1 branch threshold, margin the triplet hinge
-    margin, epsilon the probability clamp applied before logarithms.
-    """
-
-    beta: float = 1.0 / 9.0
-    margin: float = 0.3
-    epsilon: float = 1e-7
-
-    def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValidationError(f"beta must be positive, got {self.beta!r}")
-        if not (self.margin >= 0):
-            raise ValidationError(f"margin must be non-negative, got {self.margin!r}")
-        if not (0 < self.epsilon < 0.5):
-            raise ValidationError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")

@@ -32,7 +32,7 @@ from biomeval import (
     write_embeddings,
 )
 from biomeval.cli import main
-from biomeval.identify import _pessimistic_ranks
+from biomeval.identify import IdentificationEval
 from biomeval.io import load_embeddings
 from biomeval.records import EmbeddingRecord
 from biomeval.sampling import dataset_balanced_weights, pk_batches, sample_media
@@ -185,7 +185,7 @@ def test_c5_identification_metric_properties():
         _, ranks, genuine, impostor = naive_identification(
             probe_vectors, probe_mates, gallery_media
         )
-        got_ranks = _pessimistic_ranks(mate_matrix, manifest)
+        got_ranks = IdentificationEval(mate_matrix, manifest).ranks
         assert got_ranks.tolist() == ranks
 
         expected_cmc = naive_cmc(ranks, len(gallery_media))

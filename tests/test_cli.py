@@ -198,6 +198,49 @@ class TestEvalId:
             assert not (tmp_path / out).exists()
         assert main(base + ["--rank-cap", "1", "--out", str(tmp_path / "ok")]) == 0
 
+    def test_bad_far_or_rank_exits_1_before_reading_inputs(self, toy_protocol_files, tmp_path,
+                                                            capsys):
+        emb_path, protocol_path = toy_protocol_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"ranks": [1, 0]}), encoding="utf-8")
+        cases = {
+            "inf": (["--far", "inf"], "FAR target must be finite and non-negative, got inf"),
+            "nan": (["--far", "0.1", "--far", "nan"], "got nan"),
+            "rank": (["--rank", "0"], "ranks must be positive, got [0]"),
+            "cfg": (["--config", str(config_path)], "ranks must be positive, got [1, 0]"),
+        }
+        for name, (extra, expected) in cases.items():
+            out = tmp_path / name
+            code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                         "--out", str(out)] + extra)
+            assert code == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expected in err, (name, err)
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_one_evaluation_context_and_no_matrix_copy(self, toy_protocol_files, tmp_path,
+                                                       monkeypatch):
+        import biomeval.cli
+        from biomeval.identify import IdentificationEval, ScoreMatrix
+
+        built = []
+
+        class Counting(IdentificationEval):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        def no_subset(self, probe_ids):
+            raise AssertionError("eval-id copied mate rows")
+
+        monkeypatch.setattr(biomeval.cli, "IdentificationEval", Counting)
+        monkeypatch.setattr(ScoreMatrix, "subset", no_subset)
+        emb_path, protocol_path = toy_protocol_files
+        assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(tmp_path / "out"), "--rank-cap", "2"]) == 0
+        assert len(built) == 1
+
     def test_unknown_config_key_rejected(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         config_path = tmp_path / "config.json"

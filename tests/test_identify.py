@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biomeval import (
     GalleryEntry,
@@ -24,6 +27,7 @@ from biomeval.identify import (
     DEFAULT_RANKS,
     SCORE_METRICS,
     Curve,
+    IdentificationEval,
     build_gallery_templates,
     probe_matrix,
 )
@@ -181,6 +185,17 @@ class TestCmc:
         with pytest.raises(ProtocolError, match="non-mate"):
             cmc(matrix, manifest)
 
+    def test_non_mate_list_is_bounded(self):
+        ids = tuple(f"p{i}" for i in range(20_000))
+        matrix = ScoreMatrix(ids, ("a",), np.zeros((20_000, 1)))
+        manifest = manifest_for(["a"], [None] * 20_000)
+        for metric in (cmc, lambda m, mf: rank_k_accuracy(m, mf, 1)):
+            with pytest.raises(ProtocolError) as info:
+                metric(matrix, manifest)
+            message = str(info.value)
+            assert message.endswith("'p9'] (first 10 of 20000)")
+            assert "p10" not in message and len(message) < 200
+
     def test_unknown_probe_rejected(self):
         matrix = ScoreMatrix(("zz",), ("a",), np.array([[0.5]]))
         manifest = manifest_for(["a"], ["a"])
@@ -254,6 +269,18 @@ class TestTarAtFar:
         manifest = manifest_for(["a", "b"], ["a", "b"])
         (point,) = tar_at_far(matrix, manifest, [0.0])
         assert point.tar == 0.0
+
+    def test_non_finite_targets_rejected(self):
+        matrix, manifest = self._matrix()
+        for bad in (math.inf, math.nan, -0.5):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                tar_at_far(matrix, manifest, [0.1, bad])
+
+    def test_huge_finite_target_accepts_nothing_above_inf(self):
+        matrix, manifest = self._matrix()
+        (point,) = tar_at_far(matrix, manifest, [1e308])
+        assert point.threshold == math.inf
+        assert point.tar == 0.0 and point.achieved_far == 0.0
 
     def test_default_targets(self):
         assert DEFAULT_FAR_TARGETS == (1e-4, 1e-3, 1e-2, 1e-1)
@@ -400,3 +427,105 @@ class TestAgainstNaiveReference:
             for point, (tau, tar, far) in zip(got, want):
                 assert point.tar == pytest.approx(tar, abs=1e-9)
                 assert point.achieved_far == pytest.approx(far, abs=1e-9)
+
+
+@st.composite
+def mixed_protocols(draw):
+    """A score matrix with mate and non-mate rows; few score levels, so ties are common."""
+    g = draw(st.integers(2, 12))
+    p = draw(st.integers(2, 24))
+    mates = draw(st.lists(st.one_of(st.none(), st.integers(0, g - 1)), min_size=p, max_size=p))
+    mates[0] = draw(st.integers(0, g - 1))
+    mates[1] = None
+    levels = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.integers(0, levels + 1, size=(p, g)) / levels - 0.5
+    subjects = [f"g{j}" for j in range(g)]
+    manifest = manifest_for(subjects, [None if m is None else subjects[m] for m in mates])
+    matrix = ScoreMatrix(tuple(f"p{i}" for i in range(p)), tuple(subjects), scores)
+    return matrix, manifest
+
+
+def _metrics(evaluation):
+    return (
+        [evaluation.rank_k_accuracy(k) for k in (1, 2, 5)],
+        evaluation.cmc(),
+        evaluation.tar_at_far((0.0, 0.01, 0.1, 0.5, 1.0)),
+        evaluation.roc_curve(),
+        evaluation.fnir_fpir(),
+        evaluation.fnir_fpir(rank_cap=2),
+    )
+
+
+class TestIdentificationEval:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_protocols(), st.data())
+    def test_probe_and_gallery_order_do_not_matter(self, case, data):
+        matrix, manifest = case
+        base = _metrics(IdentificationEval(matrix, manifest))
+        rows = data.draw(st.permutations(range(len(matrix.probe_ids))))
+        cols = data.draw(st.permutations(range(len(matrix.subject_ids))))
+        shuffled = ScoreMatrix(
+            tuple(matrix.probe_ids[i] for i in rows),
+            tuple(matrix.subject_ids[j] for j in cols),
+            matrix.scores[np.ix_(rows, cols)],
+        )
+        assert _metrics(IdentificationEval(shuffled, manifest)) == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_protocols(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=5))
+    def test_context_equals_module_functions(self, case, targets):
+        matrix, manifest = case
+        evaluation = IdentificationEval(matrix, manifest)
+        mates = matrix.subset([p.probe_id for p in manifest.mate_probes()])
+        assert evaluation.cmc() == cmc(mates, manifest)
+        for k in (1, 3, len(matrix.subject_ids)):
+            assert evaluation.rank_k_accuracy(k) == rank_k_accuracy(mates, manifest, k)
+        points = evaluation.tar_at_far(targets)
+        assert points == tar_at_far(matrix, manifest, targets)
+        assert all(p.achieved_far <= p.far_target for p in points)
+        assert evaluation.roc_curve() == roc_curve(matrix, manifest)
+        for cap in (None, 1, 3):
+            assert evaluation.fnir_fpir(rank_cap=cap) == fnir_fpir(matrix, manifest, rank_cap=cap)
+        ys = evaluation.cmc().y
+        assert all(b >= a for a, b in zip(ys, ys[1:]))
+        assert ys[-1] == 1.0
+
+    def test_arrays_are_derived_once(self):
+        matrix = ScoreMatrix(
+            ("p0", "p1", "p2"), ("a", "b"), np.array([[0.9, 0.1], [0.5, 0.4], [0.6, 0.3]])
+        )
+        evaluation = IdentificationEval(matrix, manifest_for(["a", "b"], ["a", "b", None]))
+        assert evaluation.mate_rows.tolist() == [0, 1]
+        assert evaluation.non_mate_rows.tolist() == [2]
+        assert evaluation.genuine.tolist() == [0.9, 0.4]
+        assert evaluation.ranks.tolist() == [1, 2]
+        assert evaluation.impostor.tolist() == [0.1, 0.3, 0.5, 0.6]
+        assert evaluation.ranks is evaluation.ranks
+        assert evaluation.impostor is evaluation.impostor
+        assert not evaluation.impostor.flags.writeable
+
+    def test_missing_mate_column_rejected(self):
+        matrix = ScoreMatrix(("p0",), ("a",), np.array([[0.5]]))
+        with pytest.raises(ProtocolError, match="no gallery column"):
+            IdentificationEval(matrix, manifest_for(["a", "b"], ["b"]))
+
+
+def test_tar_at_far_and_roc_share_one_impostor_copy():
+    """tar_at_far then roc_curve stay under 1.5x the score matrix: one mask, one sorted copy."""
+    rng = np.random.default_rng(89)
+    probes, subjects = 400, 2500
+    names = [f"g{j}" for j in range(subjects)]
+    manifest = manifest_for(names, [names[i * 5] if i % 4 else None for i in range(probes)])
+    matrix = ScoreMatrix(
+        tuple(f"p{i}" for i in range(probes)), tuple(names), rng.uniform(-1, 1, (probes, subjects))
+    )
+    tracemalloc.start()
+    try:
+        evaluation = IdentificationEval(matrix, manifest)
+        evaluation.tar_at_far()
+        evaluation.roc_curve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix.scores.nbytes, peak / matrix.scores.nbytes

@@ -9,7 +9,6 @@ from biomeval import (
     EmbeddingRecord,
     GalleryEntry,
     GroundTruthRecord,
-    LossConfig,
     MediaRecord,
     ProbeEntry,
     ProtocolManifest,
@@ -75,18 +74,6 @@ class TestRecords:
         with pytest.raises(ValidationError):
             EmbeddingRecord("m", ())
 
-    def test_loss_config_invariants(self):
-        cfg = LossConfig()
-        assert cfg.beta == pytest.approx(1.0 / 9.0)
-        assert cfg.margin == 0.3
-        assert cfg.epsilon == 1e-7
-        with pytest.raises(ValidationError):
-            LossConfig(beta=0.0)
-        with pytest.raises(ValidationError):
-            LossConfig(margin=-0.1)
-        with pytest.raises(ValidationError):
-            LossConfig(epsilon=0.5)
-
 
 class TestProtocolManifest:
     def test_duplicate_gallery_subjects_rejected(self):
@@ -111,6 +98,15 @@ class TestProtocolManifest:
                 gallery=(GalleryEntry("g1", ("m1",), distractor=True),),
                 probes=(ProbeEntry("p1", "pm1", "g1"),),
             )
+
+    def test_mated_distractor_list_is_bounded(self):
+        gallery = tuple(GalleryEntry(f"d{i:05d}", ("m",), distractor=True) for i in range(20_000))
+        probes = tuple(ProbeEntry(f"p{i}", "pm", f"d{i:05d}") for i in range(20_000))
+        with pytest.raises(ValidationError) as info:
+            ProtocolManifest(gallery=gallery, probes=probes)
+        message = str(info.value)
+        assert message.endswith("'d00009'] (first 10 of 20000)")
+        assert "d00010" not in message and len(message) < 300
 
     def test_mate_classification(self):
         manifest = ProtocolManifest(
