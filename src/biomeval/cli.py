@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections
+from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_threshold
 from .errors import BiomevalError, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
@@ -71,16 +71,12 @@ class RunConfig:
 
     out_dir: Path
     inputs: dict[str, str] = field(default_factory=dict)
-    iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     seed: int = 0
 
     def __post_init__(self):
         for flag, path in self.inputs.items():
             if not Path(path).exists():
                 raise FileNotFoundError(f"no such file ({flag}): {path}")
-        for thr in self.iou_thresholds:
-            if not (0.0 < thr <= 1.0):
-                raise BiomevalError(f"IoU thresholds must lie in (0, 1], got {thr!r}")
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
 
@@ -164,6 +160,9 @@ def _resolve_out(args, config: dict) -> Path:
 
 def _cmd_eval_det(args) -> int:
     config = _load_config_file(args)
+    thresholds = tuple(
+        iou_threshold(t) for t in _resolve(args, config, "iou", list(DEFAULT_IOU_THRESHOLDS))
+    )
     inputs = {
         "detections": _required(_resolve(args, config, "det"), "--det"),
         "ground_truth": _required(_resolve(args, config, "gt"), "--gt"),
@@ -174,10 +173,8 @@ def _cmd_eval_det(args) -> int:
     run = RunConfig(
         out_dir=_resolve_out(args, config),
         inputs=inputs,
-        iou_thresholds=tuple(_resolve(args, config, "iou", list(DEFAULT_IOU_THRESHOLDS))),
         seed=int(_resolve(args, config, "seed", 0)),
     )
-    thresholds = run.iou_thresholds
     box_format = _resolve(args, config, "box_format", "xywh")
     out = run.out_dir
 

@@ -8,13 +8,18 @@ mean of the per-group scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ValidationError, brief
 from .records import BoundingBox, DetectionRecord, GroundTruthRecord
-from .stores import DetectionStore, GroundTruthStore, _merge_media_tag
+from .stores import DetectionStore, GroundTruthStore, box_columns, merge_media_tags
 
 DEFAULT_IOU_THRESHOLDS = (0.35, 0.5, 0.7)
+# Same-frame (prediction, ground truth) pairs scored at a time; bounds memory in crowds.
+IOU_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,59 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
+def iou_threshold(value):
+    """Check one IoU threshold: a real number in (0, 1]. Returns it unchanged."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (0.0 < value <= 1.0):
+        raise ValidationError(f"IoU thresholds must lie in (0, 1], got {brief(value)}")
+    return value
+
+
+def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:
+    """The prediction rows each threshold matches: match_frame's rule on every frame at once.
+
+    Rows carry a frame number (ground truth sorted by it) and x, y, w, h
+    columns. Same-frame pairs are scored in visiting order, at most
+    IOU_CHUNK_PAIRS at a time (more only for one prediction facing a larger
+    frame), with iou()'s operations, so every IoU equals iou()'s. The best
+    untaken ground truth matches only if it reaches the threshold, so per
+    threshold each prediction takes its first untaken pair, by descending
+    IoU (ties: lower row), among the pairs that reach it.
+    """
+    (px, py, pw, ph), (gx, gy, gw, gh) = pred_boxes, gt_boxes
+    parea, garea = pw * ph, gw * gh
+    order = np.lexsort((parea, -scores, pred_frame))  # visiting order; ties keep row order
+    first = np.searchsorted(gt_frame, pred_frame[order], "left")
+    pairs = np.searchsorted(gt_frame, pred_frame[order], "right") - first
+    ends = np.cumsum(pairs)
+    taken = [bytearray(len(gx)) for _ in thresholds]
+    matched: list[list[int]] = [[] for _ in thresholds]
+    start = 0
+    while start < len(order):
+        base = ends[start] - pairs[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + IOU_CHUNK_PAIRS, "right")))
+        n = pairs[start:stop]
+        rank = np.repeat(np.arange(start, stop), n)
+        g = np.arange(ends[stop - 1] - base) + np.repeat(first[start:stop] - ends[start:stop] + n + base, n)
+        p = order[rank]
+        ix = np.minimum(px[p] + pw[p], gx[g] + gw[g]) - np.maximum(px[p], gx[g])
+        iy = np.minimum(py[p] + ph[p], gy[g] + gh[g]) - np.maximum(py[p], gy[g])
+        hit = (ix > 0) & (iy > 0)
+        rank, g, p, inter = rank[hit], g[hit], p[hit], ix[hit] * iy[hit]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            value = inter / (parea[p] + garea[g] - inter)
+        keep = np.flatnonzero((value > 0) & (value >= min(thresholds)))
+        keep = keep[np.lexsort((-value[keep], rank[keep]))]  # stable: ground truth stays ascending
+        for thr, took, rows in zip(thresholds, taken, matched):
+            reach = keep[value[keep] >= thr]
+            done = -1
+            for r, j in zip(rank[reach].tolist(), g[reach].tolist()):
+                if r != done and not took[j]:
+                    took[j], done = 1, r
+                    rows.append(r)
+        start = stop
+    return [order[np.array(rows, dtype=np.int64)] for rows in matched]
+
+
 def match_frame(
     preds: Sequence[DetectionRecord],
     gts: Sequence[GroundTruthRecord],
@@ -50,26 +108,14 @@ def match_frame(
 
     Predictions are visited in descending score order (ties: smaller box
     area, then input order); each claims the still-unmatched ground truth
-    of highest IoU, provided that IoU reaches the threshold. Matched
-    predictions are tp, leftover predictions fp, leftover ground truths fn.
+    of highest IoU (ties: the earlier one), provided that IoU reaches the
+    threshold. Matched predictions are tp, leftover predictions fp,
+    leftover ground truths fn.
     """
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, preds[i].box.area, i))
-    taken = [False] * len(gts)
-    tp = 0
-    for i in order:
-        best_j = -1
-        best_iou = 0.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            overlap = iou(preds[i].box, gt.box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0 and best_iou >= threshold:
-            taken[best_j] = True
-            tp += 1
-    return MatchCounts(tp=tp, fp=len(preds) - tp, fn=len(gts) - tp)
+    scores = np.array([rec.score for rec in preds], dtype=np.float64)
+    (rows,) = _match(np.zeros(len(preds), dtype=np.int64), box_columns(preds), scores,
+                     np.zeros(len(gts), dtype=np.int64), box_columns(gts), (threshold,))
+    return MatchCounts(tp=len(rows), fp=len(preds) - len(rows), fn=len(gts) - len(rows))
 
 
 def prf1(counts: MatchCounts) -> dict[str, float]:
@@ -134,18 +180,6 @@ class DetectionReport:
         }
 
 
-def _resolve_tags(
-    dets: DetectionStore,
-    gts: GroundTruthStore,
-    media_tags: Mapping[str, str] | None,
-) -> dict[str, str | None]:
-    tags: dict[str, str | None] = {}
-    for source in (gts.media_tags, dets.media_tags, media_tags or {}):
-        for media_id, tag in source.items():
-            _merge_media_tag(tags, media_id, tag)
-    return tags
-
-
 def evaluate_detections(
     dets: DetectionStore,
     gts: GroundTruthStore,
@@ -155,31 +189,42 @@ def evaluate_detections(
     """Score detections against ground truth at each IoU threshold.
 
     Grouping is by dataset_tag, taken from the stores' media tags (an
-    explicit media_tags mapping may supply or override them). Every medium
+    explicit media_tags mapping may supply missing ones). Every medium
     under evaluation must resolve to a tag.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValidationError("at least one IoU threshold is required")
     for thr in thresholds:
-        if not (0.0 < thr <= 1.0):
-            raise ValidationError(f"IoU thresholds must lie in (0, 1], got {thr!r}")
-    tags = _resolve_tags(dets, gts, media_tags)
+        iou_threshold(thr)
+    tags = merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
 
     frames = sorted(set(dets.frames()) | set(gts.frames()))
     for media_id, _ in frames:
         if tags.get(media_id) is None:
             raise ValidationError(f"media {media_id!r} has no dataset_tag in the media index")
+    groups = sorted({tags[media_id] for media_id, _ in frames})
+    group_of = {tag: i for i, tag in enumerate(groups)}
+    frame_group = np.array([group_of[tags[media_id]] for media_id, _ in frames], dtype=np.int64)
+    position = {key: k for k, key in enumerate(frames)}
 
+    def row_frames(store) -> np.ndarray:
+        keys = np.array([position[key] for key in store.frames()], dtype=np.int64)
+        return np.repeat(keys, np.diff(store.offsets))
+
+    def group_counts(row_frame: np.ndarray) -> list[int]:
+        return np.bincount(frame_group[row_frame], minlength=len(groups)).tolist()
+
+    pred_frame, gt_frame = row_frames(dets), row_frames(gts)
+    matched = _match(pred_frame, dets.boxes, dets.labels, gt_frame, gts.boxes, thresholds)
     per_group: dict[tuple[str, float], MatchCounts] = {}
     pooled: dict[float, MatchCounts] = {thr: MatchCounts() for thr in thresholds}
-    for media_id, frame in frames:
-        preds = dets.at(media_id, frame)
-        truth = gts.at(media_id, frame)
-        for thr in thresholds:
-            counts = match_frame(preds, truth, thr)
-            key = (tags[media_id], thr)
-            per_group[key] = per_group.get(key, MatchCounts()) + counts
+    for thr, rows in zip(thresholds, matched):
+        for tag, tp, n_pred, n_gt in zip(
+            groups, group_counts(pred_frame[rows]), group_counts(pred_frame), group_counts(gt_frame)
+        ):
+            counts = MatchCounts(tp, n_pred - tp, n_gt - tp)
+            per_group[(tag, thr)] = per_group.get((tag, thr), MatchCounts()) + counts
             pooled[thr] = pooled[thr] + counts
 
     return DetectionReport(

@@ -22,6 +22,12 @@ def preview(items: Sequence[str]) -> str:
     return f"{shown} (first {MESSAGE_LIST_LIMIT} of {len(items)})"
 
 
+def brief(value, limit: int = 40) -> str:
+    """repr(value), cut after `limit` characters (with the full length) when longer."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 class BiomevalError(Exception):
     """Base class for errors raised by this package."""
 

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ValidationError
+from .errors import FormatError, ParseError, ValidationError, brief
 from .records import (
     BoundingBox,
-    DetectionRecord,
     EmbeddingRecord,
     GalleryEntry,
-    GroundTruthRecord,
     MediaRecord,
     ProbeEntry,
     ProtocolManifest,
@@ -37,6 +36,9 @@ _ID_LENGTH = struct.Struct("<I")
 BOX_FORMATS = ("xywh", "xyxy")
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) for every non-blank line; line numbers are 1-based."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -44,10 +46,17 @@ def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             line = line.strip()
             if not line:
                 continue
+            # The decoder's scanner is json.loads without its per-call overhead;
+            # json.loads re-reads a line the scanner rejects, for its message.
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+                obj, end = _scan_json(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             yield lineno, obj
@@ -59,64 +68,109 @@ def _require(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
-def _box_from_fields(obj: dict, lineno: int, box_format: str) -> BoundingBox:
-    values = [_require(obj, k, lineno) for k in ("x", "y", "w", "h")]
-    for key, value in zip(("x", "y", "w", "h"), values):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"key {key!r} must be a number, got {value!r}", line=lineno)
-    if box_format == "xywh":
-        return BoundingBox(*values)
-    # Under "xyxy" the four numbers are corners (x1, y1, x2, y2).
-    return BoundingBox.from_corners(*values)
+def _number(key: str, value, lineno: int):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"key {key!r} must be a number, got {brief(value)}", line=lineno)
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ParseError(f"key {key!r} is beyond the float range, got {brief(value)}", line=lineno)
+    return value
+
+
+def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str):
+    """One line as a record, checked field by field; a fault raises with the line number."""
+    try:
+        media_id = str(_require(obj, "media_id", lineno))
+        frame = _require(obj, "frame", lineno)
+        if isinstance(frame, float) and frame.is_integer():
+            frame = int(frame)
+        values = [_require(obj, k, lineno) for k in ("x", "y", "w", "h")]
+        values = [_number(k, v, lineno) for k, v in zip(("x", "y", "w", "h"), values)]
+        # Under "xyxy" the four numbers are corners (x1, y1, x2, y2).
+        box = BoundingBox(*values) if box_format == "xywh" else BoundingBox.from_corners(*values)
+        label = _require(obj, store_type.label, lineno)
+        label = str(label) if store_type.label_dtype is object else _number(store_type.label, label, lineno)
+        return store_type.record_type(media_id, frame, box, label)
+    except ValidationError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from None
+
+
+def _checked_columns(store_type: type, box_format: str, media, frames, box, labels):
+    """The (4, n) x/y/w/h array and the labels if every row is a valid record of plain
+    strings, ints and floats, else None."""
+    def only(column, *kinds) -> bool:
+        return set(map(type, column)) <= set(kinds)
+
+    subjects = store_type.label_dtype is object
+    if not (only(media, str) and only(frames, int) and all(only(c, int, float) for c in box)
+            and only(labels, *((str,) if subjects else (int, float)))):
+        return None
+    if frames and min(frames) < 0:
+        return None
+    try:
+        x, y, w, h = (np.array(column, dtype=np.float64) for column in box)
+        labels = np.asarray(labels, dtype=store_type.label_dtype)
+    except OverflowError:
+        return None
+    with np.errstate(invalid="ignore"):
+        if box_format == "xyxy":
+            w, h = w - x, h - y
+        ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0)
+        if not subjects:
+            ok &= (labels >= 0) & (labels <= 1)
+    return (np.stack([x, y, w, h]), labels) if ok.all() else None
+
+
+def _load_annotations(path: str | Path, box_format: str, store_type: type):
+    """Detections or ground truth, read into columns that are checked at once.
+
+    If that check fails, the file is read again line by line as records
+    (_annotation_record), so a fault raises the error of its first line.
+    """
+    if box_format not in BOX_FORMATS:
+        raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
+    keys = ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
+    columns = tuple([] for _ in keys)
+    fields = tuple(zip(keys, [column.append for column in columns]))
+    checked = None
+    try:
+        for _, obj in _iter_jsonl(path):
+            get = obj.get
+            for key, append in fields:
+                append(get(key))
+    except ParseError:
+        pass
+    else:
+        media, frames, *box, labels, tags = columns
+        checked = _checked_columns(store_type, box_format, media, frames, box, labels)
+    if checked is None:
+        records, media, tags = [], [], []
+        for lineno, obj in _iter_jsonl(path):
+            records.append(_annotation_record(store_type, obj, lineno, box_format))
+            media.append(records[-1].media_id)
+            tags.append(obj.get("dataset_tag"))
+    first_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
+    media_tags = {m: None if tag is None else str(tag) for m, tag in first_tags.items()}
+    if checked is None:
+        return store_type(records, media_tags=media_tags)
+    return store_type.from_columns(media, frames, *checked, media_tags=media_tags)
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:
     """Load a detections JSONL file into an immutable store.
 
     Each line needs media_id, frame, x, y, w, h, score; dataset_tag is
-    optional. box_format "xyxy" reinterprets the four box numbers as
-    corners at parse time.
+    optional, and a medium's tag is the one on its first line. box_format
+    "xyxy" reinterprets the four box numbers as corners at parse time.
+    Faults raise an error naming the first faulty line.
     """
-    if box_format not in BOX_FORMATS:
-        raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
-    records = []
-    tags: dict[str, str | None] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            rec = DetectionRecord(
-                media_id=str(_require(obj, "media_id", lineno)),
-                frame=int(_require(obj, "frame", lineno)),
-                box=_box_from_fields(obj, lineno, box_format),
-                score=float(_require(obj, "score", lineno)),
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        records.append(rec)
-        tag = obj.get("dataset_tag")
-        tags.setdefault(rec.media_id, tag if tag is None else str(tag))
-    return DetectionStore(records, media_tags=tags)
+    # The store classes are looked up on the stores module: perfbench/trace_child.py
+    # replaces this module's store names with timing functions that have no from_columns.
+    return _load_annotations(path, box_format, _stores.DetectionStore)
 
 
 def load_ground_truth(path: str | Path, box_format: str = "xywh") -> GroundTruthStore:
     """Load a ground-truth JSONL file (media_id, frame, box fields, subject_id)."""
-    if box_format not in BOX_FORMATS:
-        raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
-    records = []
-    tags: dict[str, str | None] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            rec = GroundTruthRecord(
-                media_id=str(_require(obj, "media_id", lineno)),
-                frame=int(_require(obj, "frame", lineno)),
-                box=_box_from_fields(obj, lineno, box_format),
-                subject_id=str(_require(obj, "subject_id", lineno)),
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        records.append(rec)
-        tag = obj.get("dataset_tag")
-        tags.setdefault(rec.media_id, tag if tag is None else str(tag))
-    return GroundTruthStore(records, media_tags=tags)
+    return _load_annotations(path, box_format, _stores.GroundTruthStore)
 
 
 def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:

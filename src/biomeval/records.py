@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
-from .errors import ValidationError, duplicates, preview
+from .errors import ValidationError, brief, duplicates, preview
 
 MODALITIES = ("image", "video")
+
+
+def _check_frame(frame) -> None:
+    if not isinstance(frame, Integral) or isinstance(frame, bool):
+        raise ValidationError(f"frame index must be an integer, got {brief(frame)}")
+    if frame < 0:
+        raise ValidationError(f"frame index must be non-negative, got {frame}")
 
 
 @dataclass(frozen=True)
@@ -23,8 +32,9 @@ class BoundingBox:
     def __post_init__(self):
         for name in ("x", "y", "w", "h"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(f"box {name} must be a finite number, got {value!r}")
+            # False for NaN, infinities and ints beyond the float range.
+            if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"box {name} must be a finite number, got {brief(value)}")
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
@@ -49,11 +59,10 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise ValidationError(f"frame index must be non-negative, got {self.frame}")
+        _check_frame(self.frame)
         # The comparison is False for NaN, so NaN scores are rejected too.
         if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score must lie in [0, 1], got {self.score!r}")
+            raise ValidationError(f"score must lie in [0, 1], got {brief(self.score)}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,7 @@ class GroundTruthRecord:
     subject_id: str
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise ValidationError(f"frame index must be non-negative, got {self.frame}")
+        _check_frame(self.frame)
 
 
 @dataclass(frozen=True)

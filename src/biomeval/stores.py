@@ -6,6 +6,7 @@ yields stores that compare equal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import ValidationError, duplicates, preview
 from .records import (
+    BoundingBox,
     DetectionRecord,
     EmbeddingRecord,
     GroundTruthRecord,
@@ -21,47 +23,91 @@ from .records import (
 )
 
 
-def _merge_media_tag(tags: dict[str, str | None], media_id: str, tag: str | None) -> None:
-    known = tags.get(media_id)
-    if known is None:
-        tags[media_id] = tag
-    elif tag is not None and tag != known:
-        raise ValidationError(
-            f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
-        )
+def merge_media_tags(*sources: Mapping[str, str | None]) -> dict[str, str | None]:
+    """Merge media_id -> dataset tag mappings in order; a tag fills in an unknown (None)
+    tag, and a different tag for a tagged medium is an error."""
+    tags: dict[str, str | None] = {}
+    for source in sources:
+        for media_id, tag in source.items():
+            known = tags.get(media_id)
+            if known is None:
+                tags[media_id] = tag
+            elif tag is not None and tag != known:
+                raise ValidationError(
+                    f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
+                )
+    return tags
 
 
-class DetectionStore:
-    """Detection records grouped by (media_id, frame)."""
+def box_columns(records: Iterable) -> np.ndarray:
+    """The records' boxes as a (4, n) float64 array of x, y, w, h rows."""
+    return np.array([rec.box.as_tuple() for rec in records], dtype=np.float64).reshape(-1, 4).T
 
-    def __init__(
-        self,
-        records: Iterable[DetectionRecord],
-        media_tags: Mapping[str, str | None] | None = None,
-    ):
-        self._records = tuple(records)
-        self._by_frame: dict[tuple[str, int], list[DetectionRecord]] = {}
-        for rec in self._records:
-            self._by_frame.setdefault((rec.media_id, rec.frame), []).append(rec)
-        self._by_frame = {k: tuple(v) for k, v in self._by_frame.items()}
-        tags: dict[str, str | None] = {}
-        for rec in self._records:
-            tags.setdefault(rec.media_id, None)
-        for media_id, tag in (media_tags or {}).items():
-            _merge_media_tag(tags, media_id, tag)
-        self._media_tags = tags
+
+class AnnotationStore:
+    """Boxes of one record kind, grouped by (media_id, frame) and held column by column.
+
+    Rows are sorted by (media_id, frame), in input order within a frame;
+    frames()[k] owns rows offsets[k]:offsets[k + 1]. boxes holds read-only
+    float64 x, y, w, h arrays in row order, labels the records' last field
+    (float64 scores or subject ids). Frame numbers stay Python ints, so
+    they never overflow.
+    """
+
+    record_type: type
+    label: str
+    label_dtype: type
+
+    def __init__(self, records: Iterable, media_tags: Mapping[str, str | None] | None = None):
+        records = tuple(records)
+        self._adopt([rec.media_id for rec in records], [rec.frame for rec in records],
+                    box_columns(records), [getattr(rec, self.label) for rec in records], media_tags)
+        self._records = records
+
+    @classmethod
+    def from_columns(cls, media_ids: list[str], frames: list[int], boxes: np.ndarray,
+                     labels, media_tags: Mapping[str, str | None] | None = None):
+        """A store over valid records' fields: per row a media id, a frame, a column of
+        the (4, n) x/y/w/h array and a label."""
+        store = cls.__new__(cls)
+        store._adopt(media_ids, frames, boxes, labels, media_tags)
+        return store
+
+    def _adopt(self, media_ids, frames, boxes, labels, media_tags) -> None:
+        keys = list(zip(media_ids, frames))
+        self._frames = tuple(sorted(set(keys)))
+        rank = {key: k for k, key in enumerate(self._frames)}
+        row_frame = np.array([rank[key] for key in keys], dtype=np.int64)
+        order = np.argsort(row_frame, kind="stable")
+        self.offsets = np.searchsorted(row_frame[order], np.arange(len(self._frames) + 1))
+        self.boxes = tuple(np.asarray(column, dtype=np.float64)[order] for column in boxes)
+        self.labels = np.fromiter(labels, dtype=self.label_dtype, count=len(order))[order]
+        for array in (self.offsets, *self.boxes, self.labels):
+            array.setflags(write=False)
+        self._order = order
+        self._media_tags = merge_media_tags(dict.fromkeys(media_ids), media_tags or {})
+        self._records = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._order)
 
-    def __iter__(self) -> Iterator[DetectionRecord]:
-        return iter(self._records)
+    def __iter__(self) -> Iterator:
+        return iter(self.records)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DetectionStore) and self._records == other._records
+        return type(other) is type(self) and self.records == other.records
 
     @property
-    def records(self) -> tuple[DetectionRecord, ...]:
+    def records(self) -> tuple:
+        """The rows as records, in input order."""
+        if self._records is None:
+            rows = [None] * len(self)
+            keys = np.repeat(np.arange(len(self._frames)), np.diff(self.offsets))
+            for i, k, x, y, w, h, label in zip(
+                *(column.tolist() for column in (self._order, keys, *self.boxes, self.labels))
+            ):
+                rows[i] = self.record_type(*self._frames[k], BoundingBox(x, y, w, h), label)
+            self._records = tuple(rows)
         return self._records
 
     @property
@@ -69,66 +115,43 @@ class DetectionStore:
         return dict(self._media_tags)
 
     def frames(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._by_frame)
+        """The distinct (media_id, frame) keys, sorted."""
+        return self._frames
 
-    def at(self, media_id: str, frame: int) -> tuple[DetectionRecord, ...]:
-        return self._by_frame.get((media_id, frame), ())
+    def at(self, media_id: str, frame: int) -> tuple:
+        k = bisect_left(self._frames, (media_id, frame))
+        if k == len(self._frames) or self._frames[k] != (media_id, frame):
+            return ()
+        return tuple(self.records[i] for i in self._order[self.offsets[k] : self.offsets[k + 1]])
 
 
-class GroundTruthStore:
-    """Ground-truth records grouped by (media_id, frame).
+class DetectionStore(AnnotationStore):
+    """Detection records grouped by (media_id, frame); labels are the scores."""
+
+    record_type = DetectionRecord
+    label = "score"
+    label_dtype = np.float64
+
+
+class GroundTruthStore(AnnotationStore):
+    """Ground-truth records grouped by (media_id, frame); labels are the subject ids.
 
     At most one box per (media_id, frame, subject_id) is allowed.
     """
 
-    def __init__(
-        self,
-        records: Iterable[GroundTruthRecord],
-        media_tags: Mapping[str, str | None] | None = None,
-    ):
-        self._records = tuple(records)
+    record_type = GroundTruthRecord
+    label = "subject_id"
+    label_dtype = object
+
+    def _adopt(self, media_ids, frames, boxes, labels, media_tags) -> None:
         seen: set[tuple[str, int, str]] = set()
-        for rec in self._records:
-            key = (rec.media_id, rec.frame, rec.subject_id)
+        for key in zip(media_ids, frames, labels):
             if key in seen:
                 raise ValidationError(
-                    f"duplicate ground truth for media {rec.media_id!r} "
-                    f"frame {rec.frame} subject {rec.subject_id!r}"
+                    f"duplicate ground truth for media {key[0]!r} frame {key[1]} subject {key[2]!r}"
                 )
             seen.add(key)
-        self._by_frame: dict[tuple[str, int], list[GroundTruthRecord]] = {}
-        for rec in self._records:
-            self._by_frame.setdefault((rec.media_id, rec.frame), []).append(rec)
-        self._by_frame = {k: tuple(v) for k, v in self._by_frame.items()}
-        tags: dict[str, str | None] = {}
-        for rec in self._records:
-            tags.setdefault(rec.media_id, None)
-        for media_id, tag in (media_tags or {}).items():
-            _merge_media_tag(tags, media_id, tag)
-        self._media_tags = tags
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[GroundTruthRecord]:
-        return iter(self._records)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroundTruthStore) and self._records == other._records
-
-    @property
-    def records(self) -> tuple[GroundTruthRecord, ...]:
-        return self._records
-
-    @property
-    def media_tags(self) -> dict[str, str | None]:
-        return dict(self._media_tags)
-
-    def frames(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._by_frame)
-
-    def at(self, media_id: str, frame: int) -> tuple[GroundTruthRecord, ...]:
-        return self._by_frame.get((media_id, frame), ())
+        super()._adopt(media_ids, frames, boxes, labels, media_tags)
 
 
 class EmbeddingStore:

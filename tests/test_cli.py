@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from biomeval import load_embeddings
 from biomeval.cli import main, round6
@@ -89,6 +92,51 @@ class TestEvalDet:
         assert code == 0
         assert out.exists()
         assert read_json(out / "detection_report.json")["iou_thresholds"] == [0.5]
+
+
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+    def test_bad_iou_exits_1_before_reading_inputs(self, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["eval-det", "--det", str(tmp_path / "absent.jsonl"), "--gt",
+                     str(tmp_path / "absent.jsonl"), "--out", str(out), "--iou", "0.5", "--iou", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoU thresholds must lie in (0, 1]")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", 10**400), ("frame", 2.7), ("frame", "x"), ("score", "abc"),
+    ], ids=["huge-x", "frame-2.7", "frame-x", "score-abc"])
+    def test_hostile_detection_field_exits_1_with_line(self, two_group_files, tmp_path, capsys,
+                                                      field, value):
+        _, gt_path = two_group_files
+        good = {"media_id": "a1", "frame": 0, "x": 0, "y": 0, "w": 1, "h": 1, "score": 0.5}
+        det_path = write_jsonl(tmp_path / "bad.jsonl", [good, dict(good, **{field: value})])
+        code = main(["eval-det", "--det", str(det_path), "--gt", str(gt_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and len(err) < 200
+
+
+GOLDEN = Path(__file__).parent / "data" / "det_golden"
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("xyxy", ["--box-format", "xyxy"]),
+    ("xywh", ["--box-format", "xywh"]),
+    ("xyxy_iou", ["--box-format", "xyxy", "--iou", "0.5", "--iou", "1.0", "--iou", "0.1"]),
+])
+def test_eval_det_golden_outputs(name, flags, tmp_path, capsys):
+    """Reports written for the golden inputs (see tests/data/det_golden/generate.py) byte for byte."""
+    out = tmp_path / name
+    assert main(["eval-det", "--det", str(GOLDEN / "detections.jsonl"),
+                 "--gt", str(GOLDEN / "ground_truth.jsonl"), "--media", str(GOLDEN / "media.jsonl"),
+                 "--out", str(out), *flags]) == 0
+    for filename in ("detection_report.json", "detection_summary.txt"):
+        assert (out / filename).read_bytes() == (GOLDEN / name / filename).read_bytes(), filename
+    assert capsys.readouterr().out == (GOLDEN / name / "detection_summary.txt").read_text(encoding="utf-8")
 
 
 class TestEvalId:

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biomeval import (
     BoundingBox,
@@ -10,7 +15,8 @@ from biomeval import (
     match_frame,
     prf1,
 )
-from biomeval.detection import DEFAULT_IOU_THRESHOLDS
+from biomeval import detection
+from biomeval.detection import DEFAULT_IOU_THRESHOLDS, iou_threshold
 from biomeval.stores import DetectionStore, GroundTruthStore
 
 from conftest import det, gt, random_frame
@@ -214,3 +220,115 @@ class TestEvaluateDetections:
             evaluate_detections(dets, gts, thresholds=(0.0,))
         with pytest.raises(ValidationError):
             evaluate_detections(dets, gts, thresholds=(1.2,))
+
+
+class TestIouThreshold:
+    def test_accepts_the_half_open_unit_interval(self):
+        for value in (1e-9, 0.5, 1, 1.0, np.float64(0.7)):
+            assert iou_threshold(value) is value
+
+    def test_rejects_everything_else(self):
+        for value in (0, 0.0, -0.1, 1.5, float("nan"), float("inf"), True, "0.5", None):
+            with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+                iou_threshold(value)
+
+
+# Few levels per coordinate, size and score, so tied scores, tied areas and
+# tied IoUs are common.
+_boxes = st.tuples(
+    st.sampled_from([0, 5, 10, 12.5]), st.sampled_from([0, 4, 10]),
+    st.sampled_from([5, 10, 20]), st.sampled_from([5, 10, 20]),
+)
+_frame = st.tuples(
+    st.lists(st.tuples(_boxes, st.sampled_from([0.0, 0.5, 0.9, 1.0])), max_size=9),
+    st.lists(_boxes, max_size=8),
+)
+
+
+def _stores(frames):
+    """Frame k goes to media m{k % 3} (tags a, b, a), frame number k."""
+    det_records, gt_records = [], []
+    for k, (preds, truths) in enumerate(frames):
+        media = f"m{k % 3}"
+        det_records += [det(media, k, *box, score) for box, score in preds]
+        gt_records += [gt(media, k, *box, f"s{i}") for i, box in enumerate(truths)]
+    tags = {"m0": "a", "m1": "b", "m2": "a"}
+    return DetectionStore(det_records, media_tags=tags), GroundTruthStore(gt_records, media_tags=tags)
+
+
+class TestColumnarMatching:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frames=st.lists(_frame, min_size=1, max_size=6),
+        extra=st.lists(st.sampled_from([0.1, 0.35, 0.5, 0.7]), max_size=3),
+        chunk=st.sampled_from([1, 3, 16, detection.IOU_CHUNK_PAIRS]),
+    )
+    def test_counts_equal_per_frame_oracle_sums(self, frames, extra, chunk):
+        thresholds = tuple(extra) + (1.0,)
+        dets, gts = _stores(frames)
+        with mock.patch.object(detection, "IOU_CHUNK_PAIRS", chunk):
+            report = evaluate_detections(dets, gts, thresholds)
+        evaluated = set(dets.frames()) | set(gts.frames())
+        for thr in set(thresholds):
+            want = {}
+            for k, (preds, truths) in enumerate(frames):
+                media = f"m{k % 3}"
+                counts = MatchCounts(*match_frame_reference(dets.at(media, k), gts.at(media, k), thr))
+                assert match_frame(dets.at(media, k), gts.at(media, k), thr) == counts
+                if (media, k) in evaluated:
+                    tag = "b" if media == "m1" else "a"
+                    want[tag] = want.get(tag, MatchCounts()) + counts
+            repeats = thresholds.count(thr)  # a repeated threshold is counted once per listing
+            for tag, counts in want.items():
+                got = report.per_group[(tag, thr)].counts
+                assert (got.tp, got.fp, got.fn) == tuple(repeats * v for v in (counts.tp, counts.fp, counts.fn))
+            pooled = sum(want.values(), MatchCounts())
+            got = report.pooled[thr].counts
+            assert (got.tp, got.fp, got.fn) == tuple(repeats * v for v in (pooled.tp, pooled.fp, pooled.fn))
+
+    def test_frame_larger_than_one_chunk_matches_oracle(self):
+        rng = np.random.default_rng(50)
+        side = 300  # 300 x 300 pairs, more than one chunk
+        assert side * side > detection.IOU_CHUNK_PAIRS
+        xy = rng.integers(0, 40, size=(side, 2)) * 5.0
+        truths = [gt("m", 0, x, y, 20.0, 40.0, f"s{i}") for i, (x, y) in enumerate(xy)]
+        preds = [
+            det("m", 0, x + dx, y + dy, 20.0, 40.0, float(s))
+            for (x, y), dx, dy, s in zip(xy, rng.integers(-2, 3, side) * 2.5,
+                                         rng.integers(-2, 3, side) * 2.5, rng.choice([0.5, 0.9], side))
+        ]
+        tags = {"m": "crowd"}
+        report = evaluate_detections(DetectionStore(preds, media_tags=tags),
+                                     GroundTruthStore(truths, media_tags=tags), (0.35, 0.7, 1.0))
+        for thr in (0.35, 0.7, 1.0):
+            assert report.pooled[thr].counts == MatchCounts(*match_frame_reference(preds, truths, thr))
+
+    def test_crowd_frame_memory_is_bounded(self):
+        # One 3000 x 3000 frame: an unchunked float64 IoU matrix alone is 72 MB.
+        ii, jj = np.divmod(np.arange(3000), 60)
+        truths = [gt("m", 0, 20.0 * j, 40.0 * i, 30.0, 60.0, f"s{k}")
+                  for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()))]
+        preds = [det("m", 0, 20.0 * j + 3.0, 40.0 * i - 2.0, 30.0, 60.0, 0.5 + (k % 7) / 20)
+                 for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()))]
+        tags = {"m": "crowd"}
+        dets = DetectionStore(preds, media_tags=tags)
+        gts = GroundTruthStore(truths, media_tags=tags)
+        tracemalloc.start()
+        try:
+            report = evaluate_detections(dets, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.pooled[0.35].counts.tp == 3000
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_frame_numbers_beyond_int64(self):
+        big = 2**70
+        tags = {"m": "t"}
+        dets = DetectionStore([det("m", big, 0, 0, 10, 10, 0.9), det("m", 3, 0, 0, 10, 10, 0.9)],
+                              media_tags=tags)
+        gts = GroundTruthStore([gt("m", big, 0, 0, 10, 10), gt("m", big + 1, 0, 0, 10, 10)],
+                               media_tags=tags)
+        assert dets.frames() == (("m", 3), ("m", big))
+        assert len(dets.at("m", big)) == 1
+        assert evaluate_detections(dets, gts, (0.5,)).pooled[0.5].counts == MatchCounts(1, 1, 1)

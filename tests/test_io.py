@@ -1,6 +1,8 @@
 import json
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biomeval import (
+    BiomevalError,
     EmbeddingRecord,
     FormatError,
     ParseError,
@@ -20,7 +23,8 @@ from biomeval import (
     sniff_embedding_format,
     write_embeddings,
 )
-from biomeval.stores import EmbeddingStore
+from biomeval.io import _annotation_record
+from biomeval.stores import DetectionStore, EmbeddingStore, GroundTruthStore
 
 from conftest import write_jsonl
 
@@ -100,6 +104,157 @@ class TestDetectionLoading:
         )
         with pytest.raises(ParseError, match="subject_id"):
             load_ground_truth(path)
+
+
+def _det_row(**fields):
+    row = {"media_id": "m", "frame": 0, "x": 1, "y": 2, "w": 3, "h": 4, "score": 0.5}
+    row.update(fields)
+    return {k: v for k, v in row.items() if v is not None}
+
+
+class TestHostileDetectionFields:
+    """Every fault names its line; a valid line before it never hides it."""
+
+    def _error(self, tmp_path, bad_line, loader=load_detections, good=_det_row()):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(BiomevalError) as info:
+            loader(path)
+        return str(info.value)
+
+    def test_huge_integer_coordinate(self, tmp_path):
+        message = self._error(tmp_path, json.dumps(_det_row(x=10**400)))
+        assert message.startswith("line 2: key 'x' is beyond the float range")
+        assert len(message) < 120
+        # The corner difference of an "xyxy" box must not overflow either.
+        path = write_jsonl(tmp_path / "c.jsonl", [_det_row(x=-10**400, w=2.5)])
+        with pytest.raises(ParseError, match="^line 1: key 'x' is beyond the float range"):
+            load_detections(path, box_format="xyxy")
+
+    def test_non_integral_frame(self, tmp_path):
+        message = self._error(tmp_path, json.dumps(_det_row(frame=2.7)))
+        assert message == "line 2: frame index must be an integer, got 2.7"
+
+    def test_string_frame_and_score(self, tmp_path):
+        assert self._error(tmp_path, json.dumps(_det_row(frame="x"))) == (
+            "line 2: frame index must be an integer, got 'x'"
+        )
+        assert self._error(tmp_path, json.dumps(_det_row(score="abc"))) == (
+            "line 2: key 'score' must be a number, got 'abc'"
+        )
+        assert "line 2: key 'score' must be a number" in self._error(
+            tmp_path, json.dumps(_det_row(score=True))
+        )
+
+    def test_long_string_value_message_is_bounded(self, tmp_path):
+        message = self._error(tmp_path, json.dumps(_det_row(y="A" * 100000)))
+        assert message.startswith("line 2: key 'y' must be a number") and len(message) < 150
+
+    def test_integer_beyond_json_limit_is_a_parse_error(self, tmp_path):
+        line = json.dumps(_det_row()).replace('"x": 1', '"x": ' + "9" * 5000)
+        assert self._error(tmp_path, line).startswith("line 2: invalid JSON")
+
+    def test_ground_truth_faults(self, tmp_path):
+        good = {"media_id": "m", "frame": 0, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": "s"}
+        bad = dict(good, frame=-1)
+        assert self._error(tmp_path, json.dumps(bad), load_ground_truth, good) == (
+            "line 2: frame index must be non-negative, got -1"
+        )
+
+    def test_first_faulty_line_wins(self, tmp_path):
+        rows = [json.dumps(_det_row(frame=i)) for i in range(5000)]
+        rows[4321] = json.dumps(_det_row(w=0))
+        rows[4500] = "not json"
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="^line 4322: box sides must be positive"):
+            load_detections(path)
+        rows[4321] = json.dumps(_det_row())
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 4501: invalid JSON"):
+            load_detections(path)
+
+    def test_missing_media_id(self, tmp_path):
+        row = _det_row()
+        del row["media_id"]
+        assert self._error(tmp_path, json.dumps(row)) == "line 2: missing key 'media_id'"
+
+    def test_frames_beyond_int64_and_integral_floats_load(self, tmp_path):
+        rows = [_det_row(frame=2**70), _det_row(frame=3.0), _det_row(frame=3)]
+        store = load_detections(write_jsonl(tmp_path / "d.jsonl", rows))
+        assert store.frames() == (("m", 3), ("m", 2**70))
+        assert [rec.frame for rec in store.at("m", 3)] == [3, 3]
+
+    # Valid rows plus up to two edits each: faults, or values that are valid but
+    # not plain (an integral float frame, a numeric media id). "drop" deletes a key.
+    _rows = st.lists(st.fixed_dictionaries(
+        {"media_id": st.sampled_from(["m", "n"]), "frame": st.sampled_from([0, 1, 2**70]),
+         "x": st.sampled_from([0, 1.5, 10]), "y": st.sampled_from([0, 2]),
+         "w": st.sampled_from([1, 2.5, 20]), "h": st.sampled_from([1, 4]),
+         "score": st.sampled_from([0, 0.5, 1])},
+        optional={"dataset_tag": st.sampled_from(["a", None, 3])},
+    ), min_size=1, max_size=6)
+    _edits = st.lists(st.tuples(st.integers(0, 5), st.sampled_from([
+        ("frame", -1), ("frame", 2.7), ("frame", "7"), ("frame", 3.0), ("frame", True),
+        ("x", 10**400), ("x", 1e308), ("x", float("inf")), ("w", 0), ("h", float("nan")),
+        ("y", None), ("y", "drop"), ("score", 1.5), ("score", "0.5"), ("score", False),
+        ("score", "drop"), ("media_id", 5), ("media_id", "drop"),
+    ])), max_size=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_rows, edits=_edits, box_format=st.sampled_from(["xywh", "xyxy"]))
+    def test_column_check_agrees_with_line_by_line_reading(self, rows, edits, box_format):
+        """The store, or the error, is the one a line-at-a-time read gives."""
+        for i, (key, value) in edits:
+            row = rows[i % len(rows)]
+            if value == "drop":
+                row.pop(key, None)
+            else:
+                row[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+            self._check_against_line_reads(path, rows, box_format)
+
+    def _check_against_line_reads(self, path, rows, box_format):
+        keys = ("media_id", "frame", "x", "y", "w", "h", "score")
+        try:
+            records = [_annotation_record(DetectionStore, {k: r[k] for k in keys if k in r}, i + 1,
+                                          box_format) for i, r in enumerate(rows)]
+        except BiomevalError as exc:
+            with pytest.raises(type(exc)) as info:
+                load_detections(path, box_format=box_format)
+            assert str(info.value) == str(exc)
+            return
+        store = load_detections(path, box_format=box_format)
+        assert store == DetectionStore(records)
+        tags = {}
+        for rec, row in zip(records, rows):
+            tag = row.get("dataset_tag")
+            tags.setdefault(rec.media_id, None if tag is None else str(tag))
+        assert store.media_tags == tags
+
+
+class TestAnnotationStore:
+    def test_loaded_store_equals_records_store(self, tmp_path):
+        rows = [
+            {"media_id": "b", "frame": 1, "x": 0, "y": 0, "w": 2, "h": 2, "subject_id": "s1"},
+            {"media_id": "a", "frame": 7, "x": 1.5, "y": 0, "w": 2, "h": 2, "subject_id": "s1"},
+            {"media_id": "b", "frame": 1, "x": 3, "y": 0, "w": 2, "h": 2, "subject_id": "s0"},
+        ]
+        store = load_ground_truth(write_jsonl(tmp_path / "g.jsonl", rows))
+        records = GroundTruthStore(store.records)
+        assert store == records and list(store) == list(records.records)
+        assert store.frames() == (("a", 7), ("b", 1))
+        assert [rec.subject_id for rec in store.at("b", 1)] == ["s1", "s0"]
+        assert store.offsets.tolist() == [0, 1, 3]
+        assert store.boxes[0].tolist() == [1.5, 0.0, 3.0]
+        assert not store.boxes[0].flags.writeable
+
+    def test_duplicate_ground_truth_message(self, tmp_path):
+        rows = [{"media_id": "m", "frame": 2, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": "s"}] * 2
+        with pytest.raises(ValidationError, match="^duplicate ground truth for media 'm' frame 2 subject 's'$"):
+            load_ground_truth(write_jsonl(tmp_path / "g.jsonl", rows))
 
 
 class TestEmbeddingFormats:
