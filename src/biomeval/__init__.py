@@ -26,10 +26,10 @@ from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
     Curve,
+    Gallery,
     IdentificationEval,
     OperatingPoint,
     ScoreMatrix,
-    SubjectTemplate,
     aggregate_gallery,
     build_gallery_templates,
     cmc,

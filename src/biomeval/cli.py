@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_threshold
+from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
 from .errors import BiomevalError, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
@@ -160,9 +160,7 @@ def _resolve_out(args, config: dict) -> Path:
 
 def _cmd_eval_det(args) -> int:
     config = _load_config_file(args)
-    thresholds = tuple(
-        iou_threshold(t) for t in _resolve(args, config, "iou", list(DEFAULT_IOU_THRESHOLDS))
-    )
+    thresholds = iou_thresholds(_resolve(args, config, "iou", DEFAULT_IOU_THRESHOLDS))
     inputs = {
         "detections": _required(_resolve(args, config, "det"), "--det"),
         "ground_truth": _required(_resolve(args, config, "gt"), "--gt"),

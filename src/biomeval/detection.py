@@ -53,6 +53,17 @@ def iou_threshold(value):
     return value
 
 
+def iou_thresholds(values) -> tuple:
+    """Check a list of IoU thresholds: at least one, each one by iou_threshold, none twice
+    (1 and 1.0 are the same threshold). Returns them as a tuple, unchanged."""
+    thresholds = tuple(iou_threshold(v) for v in values)
+    if not thresholds:
+        raise ValidationError("at least one IoU threshold is required")
+    if len(set(thresholds)) != len(thresholds):
+        raise ValidationError(f"IoU thresholds must not repeat, got {brief(list(thresholds))}")
+    return thresholds
+
+
 def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:
     """The prediction rows each threshold matches: match_frame's rule on every frame at once.
 
@@ -192,11 +203,7 @@ def evaluate_detections(
     explicit media_tags mapping may supply missing ones). Every medium
     under evaluation must resolve to a tag.
     """
-    thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValidationError("at least one IoU threshold is required")
-    for thr in thresholds:
-        iou_threshold(thr)
+    thresholds = iou_thresholds(thresholds)
     tags = merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
 
     frames = sorted(set(dets.frames()) | set(gts.frames()))
@@ -223,9 +230,8 @@ def evaluate_detections(
         for tag, tp, n_pred, n_gt in zip(
             groups, group_counts(pred_frame[rows]), group_counts(pred_frame), group_counts(gt_frame)
         ):
-            counts = MatchCounts(tp, n_pred - tp, n_gt - tp)
-            per_group[(tag, thr)] = per_group.get((tag, thr), MatchCounts()) + counts
-            pooled[thr] = pooled[thr] + counts
+            per_group[(tag, thr)] = MatchCounts(tp, n_pred - tp, n_gt - tp)
+            pooled[thr] = pooled[thr] + per_group[(tag, thr)]
 
     return DetectionReport(
         thresholds=thresholds,

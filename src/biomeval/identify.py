@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,43 +30,25 @@ _SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class SubjectTemplate:
-    """A gallery subject's aggregate embedding.
+class Gallery:
+    """Gallery templates stacked as one matrix of unit rows; len() is the subject count.
 
-    Mean templates hold one unit vector; max_score templates keep every
-    normalized media vector and score by the best per-media similarity.
+    Subject k owns rows[starts[k]:starts[k + 1]] (the last one runs to the
+    end): its mean vector under "mean", one vector per medium under
+    "max_score". aggregate_gallery and build_gallery_templates build it.
     """
 
-    subject_id: str
-    vector: np.ndarray | None
-    media_count: int
-    media_vectors: np.ndarray | None = None
+    subject_ids: tuple[str, ...]
+    rows: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self):
-        if self.vector is None and self.media_vectors is None:
-            raise ValidationError(f"template {self.subject_id!r} holds no vectors")
-        if self.vector is not None:
-            norm = float(np.linalg.norm(self.vector))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"template {self.subject_id!r} vector norm {norm!r} is not 1"
-                )
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Unit rows scored against probes: the mean vector, or every media vector."""
-        return self.media_vectors if self.vector is None else self.vector[None, :]
-
-    @property
-    def dim(self) -> int:
-        return int(self.rows.shape[1])
+    def __len__(self) -> int:
+        return len(self.subject_ids)
 
 
-def _normalized_rows(vectors, context: str) -> np.ndarray:
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    if mat.ndim != 2 or mat.shape[0] == 0 or mat.shape[1] == 0:
+def _normalized_rows(mat: np.ndarray, context: str) -> np.ndarray:
+    """A 2-D float64 array's rows over their norms; empty, non-finite or zero rows raise."""
+    if mat.shape[0] == 0 or mat.shape[1] == 0:
         raise ValidationError(f"{context}: expected a non-empty (m, d) array, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValidationError(f"{context}: vectors must be finite")
@@ -76,41 +58,74 @@ def _normalized_rows(vectors, context: str) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def aggregate_gallery(subject_id: str, vectors, method: str = "mean") -> SubjectTemplate:
-    """Fuse one subject's media embeddings into a gallery template.
+def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str) -> Gallery:
+    """The gallery of subjects whose media rows lie consecutively in a float64 matrix.
 
-    "mean" normalizes each vector, averages, and re-normalizes (error if
-    the average vanishes); "max_score" keeps all normalized vectors for
-    later best-media scoring.
+    Subject k owns the next counts[k] >= 1 rows. A fault names the first
+    faulty subject in gallery order.
     """
     if method not in AGGREGATION_METHODS:
         raise ValueError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
-    unit = _normalized_rows(vectors, f"subject {subject_id!r}")
-    if method == "max_score":
-        unit.setflags(write=False)
-        return SubjectTemplate(
-            subject_id=subject_id, vector=None, media_count=unit.shape[0], media_vectors=unit
-        )
-    mean = unit.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        raise ValidationError(f"subject {subject_id!r}: degenerate template (zero mean vector)")
-    out = mean / norm
-    out.setflags(write=False)
-    return SubjectTemplate(subject_id=subject_id, vector=out, media_count=unit.shape[0])
+    counts = np.asarray(counts, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows = media / np.linalg.norm(media, axis=1)[:, None]
+        # A non-finite or zero-norm medium leaves a NaN or infinite unit row.
+        ok = np.logical_and.reduceat(np.isfinite(rows).all(axis=1), first)
+        starts = first
+        if method == "mean":
+            # Subjects with k media are averaged together as one (n_k, k, d) block.
+            means = np.empty((len(counts), media.shape[1]))
+            for k in np.unique(counts).tolist():
+                (members,) = np.nonzero(counts == k)
+                means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
+            # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
+            norms = np.array([np.linalg.norm(mean) for mean in means])
+            ok &= norms >= 1e-12
+            rows, starts = means / norms[:, None], np.arange(len(counts))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        context = f"subject {subject_ids[k]!r}"
+        _normalized_rows(media[first[k] : first[k] + counts[k]], context)  # raises a row fault
+        raise ValidationError(f"{context}: degenerate template (zero mean vector)")
+    rows.setflags(write=False)
+    starts.setflags(write=False)
+    return Gallery(subject_ids, rows, starts)
+
+
+def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gallery:
+    """Fuse each subject's media embeddings into one gallery, in the mapping's order.
+
+    media maps a subject id to its (m, d) vectors (or one d-vector).
+    "mean" normalizes each vector, averages, and re-normalizes (error if
+    the average vanishes); "max_score" keeps all normalized vectors for
+    later best-media scoring. The first faulty subject is reported.
+    """
+    blocks: list[np.ndarray] = []
+    for subject_id, vectors in media.items():
+        block = np.asarray(vectors, dtype=np.float64)
+        block = block.reshape(1, -1) if block.ndim == 1 else block
+        if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != blocks[0].shape[1]):
+            aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
+            dim = blocks[0].shape[1] if blocks else "d"
+            raise ValidationError(
+                f"subject {subject_id!r}: expected a non-empty (m, {dim}) array, got {block.shape}"
+            )
+        blocks.append(block)
+    rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
+    return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
 
 
 def build_gallery_templates(
     manifest: ProtocolManifest, embeddings: EmbeddingStore, method: str = "mean"
-) -> list[SubjectTemplate]:
-    """One template per gallery entry, in manifest order."""
+) -> Gallery:
+    """The gallery's templates, in manifest order, from one gather of its media rows."""
     missing = [m for m in manifest.referenced_media() if m not in embeddings]
     if missing:
         raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
-    return [
-        aggregate_gallery(e.subject_id, [embeddings.vector(m) for m in e.media_ids], method)
-        for e in manifest.gallery
-    ]
+    media = embeddings.rows([m for e in manifest.gallery for m in e.media_ids])
+    counts = [len(e.media_ids) for e in manifest.gallery]
+    return _stack_gallery(manifest.subject_ids, media, counts, method)
 
 
 def probe_matrix(
@@ -123,8 +138,7 @@ def probe_matrix(
     if missing:
         raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
     ids = tuple(p.probe_id for p in manifest.probes)
-    rows = np.stack([embeddings.vector(p.media_id) for p in manifest.probes])
-    return ids, rows
+    return ids, embeddings.rows([p.media_id for p in manifest.probes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,58 +161,50 @@ class ScoreMatrix:
     def subset(self, probe_ids: Sequence[str]) -> "ScoreMatrix":
         index = {p: i for i, p in enumerate(self.probe_ids)}
         rows = [index[p] for p in probe_ids]
-        return ScoreMatrix(
-            probe_ids=tuple(probe_ids),
-            subject_ids=self.subject_ids,
-            scores=self.scores[rows],
-        )
+        return ScoreMatrix(tuple(probe_ids), self.subject_ids, self.scores[rows])
 
 
 def score(
     probes,
-    gallery: Sequence[SubjectTemplate],
+    gallery: Gallery,
     metric: str = "cosine",
     probe_ids: Sequence[str] | None = None,
 ) -> ScoreMatrix:
-    """Similarity of every probe to every gallery template.
+    """Similarity of every probe to every gallery subject.
 
     `probes` is an EmbeddingStore (rows keyed by media id) or an (P, d)
     array with explicit probe_ids. Cosine scores normalize each probe and
     land in [-1, 1]; neg_euclidean scores are negated distances to the
-    template vectors.
+    gallery rows.
 
-    Every template's unit rows are stacked once; each probe chunk is
-    scored against the whole stack and reduced to the best row of each
-    template. Chunks hold at most _SCORE_CHUNK x len(gallery) cells, so a
-    gallery of mean templates is chunked every _SCORE_CHUNK probes.
+    Each probe chunk is scored against all of gallery.rows and reduced to
+    the best row of each subject. Chunks hold at most
+    _SCORE_CHUNK x len(gallery) cells, so a mean gallery (one row per
+    subject) is chunked every _SCORE_CHUNK probes.
     """
     if metric not in SCORE_METRICS:
         raise ValueError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
     if isinstance(probes, EmbeddingStore):
         if probe_ids is not None:
             raise ValueError("probe_ids is only accepted with a plain probe array")
-        ids = probes.media_ids
-        x = probes.matrix
+        ids, x = probes.media_ids, probes.matrix
     else:
         if probe_ids is None:
             raise ValueError("probe_ids is required when probes is a plain array")
-        ids = tuple(probe_ids)
-        x = np.asarray(probes, dtype=np.float64)
+        ids, x = tuple(probe_ids), np.asarray(probes, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(ids):
         raise ValueError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
-    if not gallery:
+    if not len(gallery):
         raise ValueError("gallery is empty")
-    dim = x.shape[1]
-    for t in gallery:
-        if t.dim != dim:
-            raise ValueError(f"template {t.subject_id!r} has dim {t.dim}, probes have {dim}")
+    rows = gallery.rows
+    if rows.shape[1] != x.shape[1]:
+        raise ValueError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
     if metric == "cosine":
         x = _normalized_rows(x, "probes")
 
-    blocks = [t.rows for t in gallery]
-    rows = np.concatenate(blocks)
-    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    row_sq = (rows * rows).sum(axis=1) if metric == "neg_euclidean" else None
+    if metric == "neg_euclidean":  # |r|^2 a block of rows at a time: the rows are never copied
+        parts = np.split(rows, np.arange(_SCORE_CHUNK, len(rows), _SCORE_CHUNK))
+        row_sq = np.concatenate([(part * part).sum(axis=1) for part in parts])
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
     scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
     for lo in range(0, x.shape[0], step):
@@ -212,13 +218,11 @@ def score(
             np.maximum(block, 0.0, out=block)
             np.sqrt(block, out=block)
             np.negative(block, out=block)
-        np.maximum.reduceat(block, starts, axis=1, out=scores[lo : lo + step])
+        np.maximum.reduceat(block, gallery.starts, axis=1, out=scores[lo : lo + step])
     if metric == "cosine":
         np.clip(scores, -1.0, 1.0, out=scores)
     scores.setflags(write=False)
-    return ScoreMatrix(
-        probe_ids=ids, subject_ids=tuple(t.subject_id for t in gallery), scores=scores
-    )
+    return ScoreMatrix(probe_ids=ids, subject_ids=gallery.subject_ids, scores=scores)
 
 
 @dataclass(frozen=True)
@@ -274,12 +278,7 @@ class OperatingPoint:
     achieved_far: float
 
     def as_dict(self) -> dict:
-        return {
-            "far_target": self.far_target,
-            "threshold": self.threshold,
-            "tar": self.tar,
-            "achieved_far": self.achieved_far,
-        }
+        return asdict(self)
 
 
 def far_target(value) -> float:

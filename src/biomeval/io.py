@@ -76,13 +76,17 @@ def _number(key: str, value, lineno: int):
     return value
 
 
+def _integral(value):
+    """An integral float as an int (JSON may write 3 as 3.0); other values unchanged,
+    for the record to accept or reject."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str):
     """One line as a record, checked field by field; a fault raises with the line number."""
     try:
         media_id = str(_require(obj, "media_id", lineno))
-        frame = _require(obj, "frame", lineno)
-        if isinstance(frame, float) and frame.is_integer():
-            frame = int(frame)
+        frame = _integral(_require(obj, "frame", lineno))
         values = [_require(obj, k, lineno) for k in ("x", "y", "w", "h")]
         values = [_number(k, v, lineno) for k, v in zip(("x", "y", "w", "h"), values)]
         # Under "xyxy" the four numbers are corners (x1, y1, x2, y2).
@@ -188,13 +192,14 @@ def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
         vector = _require(obj, "vector", lineno)
         if not isinstance(vector, list):
             raise ParseError("key 'vector' must be an array of numbers", line=lineno)
+        if set(map(type, vector)) - {float}:  # ints to widen, or a component to reject
+            for i, value in enumerate(vector):
+                _number(f"vector[{i}]", value, lineno)
         try:
             rec = EmbeddingRecord(
                 media_id=str(_require(obj, "media_id", lineno)),
-                vector=tuple(float(v) for v in vector),
+                vector=tuple(map(float, vector)),
             )
-        except (TypeError, ValueError):
-            raise ParseError("key 'vector' must be an array of numbers", line=lineno) from None
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
         records.append(rec)
@@ -354,7 +359,7 @@ def load_media_index(path: str | Path) -> MediaIndex:
                     subject_id=str(_require(obj, "subject_id", lineno)),
                     dataset_tag=str(_require(obj, "dataset_tag", lineno)),
                     modality=str(_require(obj, "modality", lineno)),
-                    frame_count=int(_require(obj, "frame_count", lineno)),
+                    frame_count=_integral(_require(obj, "frame_count", lineno)),
                 )
             )
         except ValidationError as exc:

@@ -13,11 +13,12 @@ from .errors import ValidationError, brief, duplicates, preview
 MODALITIES = ("image", "video")
 
 
-def _check_frame(frame) -> None:
-    if not isinstance(frame, Integral) or isinstance(frame, bool):
-        raise ValidationError(f"frame index must be an integer, got {brief(frame)}")
-    if frame < 0:
-        raise ValidationError(f"frame index must be non-negative, got {frame}")
+def _check_integer(name: str, value, least: int) -> None:
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {brief(value)}")
+    if value < least:
+        qualifier = "non-negative" if least == 0 else "positive"
+        raise ValidationError(f"{name} must be {qualifier}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class DetectionRecord:
     score: float
 
     def __post_init__(self):
-        _check_frame(self.frame)
+        _check_integer("frame index", self.frame, 0)
         # The comparison is False for NaN, so NaN scores are rejected too.
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"score must lie in [0, 1], got {brief(self.score)}")
@@ -73,7 +74,7 @@ class GroundTruthRecord:
     subject_id: str
 
     def __post_init__(self):
-        _check_frame(self.frame)
+        _check_integer("frame index", self.frame, 0)
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,7 @@ class MediaRecord:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValidationError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.frame_count < 1:
-            raise ValidationError(f"frame_count must be positive, got {self.frame_count}")
+        _check_integer("frame_count", self.frame_count, 1)
         if self.modality == "image" and self.frame_count != 1:
             raise ValidationError(f"still image {self.media_id!r} must have frame_count 1")
 

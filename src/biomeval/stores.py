@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -234,6 +234,13 @@ class EmbeddingStore:
             return self._matrix[self._index[media_id]]
         except KeyError:
             raise KeyError(f"no embedding for media {media_id!r}") from None
+
+    def rows(self, media_ids: Sequence[str]) -> np.ndarray:
+        """A new (len(media_ids), dim) matrix of the named media's vectors, in that order."""
+        try:
+            return self._matrix[[self._index[m] for m in media_ids]]
+        except KeyError as exc:
+            raise KeyError(f"no embedding for media {exc.args[0]!r}") from None
 
 
 class MediaIndex:

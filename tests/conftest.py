@@ -133,9 +133,7 @@ def build_matrix_and_manifest(gallery_media, probe_vectors, probe_mates, metric=
         score,
     )
 
-    gallery = [
-        aggregate_gallery(f"g{j}", media) for j, media in enumerate(gallery_media)
-    ]
+    gallery = aggregate_gallery({f"g{j}": media for j, media in enumerate(gallery_media)})
     manifest = ProtocolManifest(
         gallery=tuple(
             GalleryEntry(f"g{j}", tuple(f"g{j}m{i}" for i in range(len(media))),

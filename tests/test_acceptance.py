@@ -287,7 +287,7 @@ def test_c8_performance_envelope(toy_protocol_files, tmp_path):
     """1000 x 10000 x 512 scoring + CMC + ROC < 5 s; reruns give identical bytes."""
     rng = np.random.default_rng(1008)
     g, p, dim = 10_000, 1_000, 512
-    gallery = [aggregate_gallery(f"g{j}", rng.normal(size=(1, dim))) for j in range(g)]
+    gallery = aggregate_gallery({f"g{j}": rng.normal(size=(1, dim)) for j in range(g)})
     manifest = ProtocolManifest(
         gallery=tuple(GalleryEntry(f"g{j}", (f"g{j}m",)) for j in range(g)),
         probes=tuple(

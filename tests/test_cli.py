@@ -105,6 +105,36 @@ class TestEvalDet:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--iou", "0.5", "--iou", "0.5"], None),
+        ([], {"iou": [1, 1.0]}),
+    ], ids=["flags", "config"])
+    def test_repeated_iou_exits_1_before_reading_inputs(self, flags, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            flags = ["--config", str(config_path)]
+        code = main(["eval-det", "--det", str(tmp_path / "absent.jsonl"), "--gt",
+                     str(tmp_path / "absent.jsonl"), "--out", str(out), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IoU thresholds must not repeat") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [2.7, "x", True])
+    def test_non_integer_frame_count_in_media_index_exits_1(self, two_group_files, tmp_path,
+                                                            capsys, value):
+        det_path, gt_path = two_group_files
+        rows = [{"media_id": m, "subject_id": "s", "dataset_tag": tag, "modality": "video",
+                 "frame_count": 900} for m, tag in (("a1", "alpha"), ("b1", "beta"))]
+        rows[1]["frame_count"] = value
+        media_path = write_jsonl(tmp_path / "media.jsonl", rows)
+        code = main(["eval-det", "--det", str(det_path), "--gt", str(gt_path),
+                     "--media", str(media_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 2: frame_count must be an integer")
+
     @pytest.mark.parametrize("field, value", [
         ("x", 10**400), ("frame", 2.7), ("frame", "x"), ("score", "abc"),
     ], ids=["huge-x", "frame-2.7", "frame-x", "score-abc"])
@@ -137,6 +167,22 @@ def test_eval_det_golden_outputs(name, flags, tmp_path, capsys):
     for filename in ("detection_report.json", "detection_summary.txt"):
         assert (out / filename).read_bytes() == (GOLDEN / name / filename).read_bytes(), filename
     assert capsys.readouterr().out == (GOLDEN / name / "detection_summary.txt").read_text(encoding="utf-8")
+
+
+ID_GOLDEN = Path(__file__).parent / "data" / "id_golden"
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("mean", ["--aggregate", "mean"]),
+    ("max_score", ["--aggregate", "max_score", "--metric", "neg_euclidean", "--rank-cap", "5"]),
+])
+def test_eval_id_golden_outputs(name, flags, tmp_path):
+    """Reports written for the golden inputs (see tests/data/id_golden/generate.py) byte for byte."""
+    out = tmp_path / name
+    assert main(["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"),
+                 "--protocol", str(ID_GOLDEN / "protocol.json"), "--out", str(out), *flags]) == 0
+    for filename in ("identification_report.json", "cmc.csv", "roc.csv", "openset.csv"):
+        assert (out / filename).read_bytes() == (ID_GOLDEN / name / filename).read_bytes(), filename
 
 
 class TestEvalId:
@@ -353,6 +399,25 @@ class TestPlanBatches:
         assert plan["dataset_weights"] == {"alpha": 0.5, "beta": 0.5}
 
 
+    @pytest.mark.parametrize("value", [2.7, "x", True])
+    def test_non_integer_frame_count_exits_1_with_line(self, tmp_path, capsys, value):
+        rows = media_index_rows()
+        rows[3]["frame_count"] = value
+        media_path = write_jsonl(tmp_path / "media.jsonl", rows)
+        code = main(["plan-batches", "--media", str(media_path), "--out", str(tmp_path / "plan")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 4: frame_count must be an integer, got {value!r}\n"
+
+    def test_integral_float_frame_count_loads_as_int(self, tmp_path):
+        rows = media_index_rows()
+        ints = write_jsonl(tmp_path / "ints.jsonl", rows)
+        floats = write_jsonl(tmp_path / "floats.jsonl", [dict(r, frame_count=900.0) for r in rows])
+        for name, path in (("a", ints), ("b", floats)):
+            assert main(["plan-batches", "--media", str(path), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a" / "plan.json").read_bytes() == (tmp_path / "b" / "plan.json").read_bytes()
+
+
 class TestCheckLosses:
     def test_passes_and_echoes_beta(self, capsys):
         assert main(["check-losses"]) == 0
@@ -383,6 +448,22 @@ class TestConvertEmb:
         assert main(["convert-emb", "--emb", str(binary), "--format", "text",
                      "--out", str(text)]) == 0
         assert load_embeddings(text) == load_embeddings(binary, format="binary")
+
+    @pytest.mark.parametrize("vector, message", [
+        (["1.5", True], "line 2: key 'vector[0]' must be a number, got '1.5'"),
+        ([1.0, True], "line 2: key 'vector[1]' must be a number, got True"),
+        ([1.0, 10**400], "line 2: key 'vector[1]' is beyond the float range, got 1000000000"),
+        ([1.0, None], "line 2: key 'vector[1]' must be a number, got None"),
+    ], ids=["string-and-bool", "bool", "huge-int", "null"])
+    def test_non_number_component_exits_1_with_line(self, tmp_path, capsys, vector, message):
+        emb_path = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [1, 2.5]},
+                                                      {"media_id": "b", "vector": vector}])
+        code = main(["convert-emb", "--emb", str(emb_path), "--format", "binary",
+                     "--out", str(tmp_path / "e.bemb")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err) < 200
+        assert not (tmp_path / "e.bemb").exists()
 
     def test_binary_write_is_stable(self, tmp_path, toy_protocol_files):
         emb_path, _ = toy_protocol_files

@@ -58,33 +58,143 @@ def test_missing_media_lists_are_bounded():
 
 class TestAggregateGallery:
     def test_single_vector_is_normalized(self):
-        template = aggregate_gallery("s", [[3.0, 4.0]])
-        assert template.vector.tolist() == pytest.approx([0.6, 0.8], abs=1e-15)
-        assert template.media_count == 1
+        gallery = aggregate_gallery({"s": [[3.0, 4.0]]})
+        assert gallery.rows[0].tolist() == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert gallery.rows.shape == (1, 2)
 
     def test_mean_of_two_unit_vectors(self):
-        template = aggregate_gallery("s", [[1.0, 0.0], [0.0, 1.0]])
+        gallery = aggregate_gallery({"s": [[1.0, 0.0], [0.0, 1.0]]})
         expected = math.sqrt(2.0) / 2.0
-        assert template.vector.tolist() == pytest.approx([expected, expected], abs=1e-12)
+        assert gallery.rows[0].tolist() == pytest.approx([expected, expected], abs=1e-12)
 
     def test_antipodal_vectors_are_degenerate(self):
         with pytest.raises(ValidationError, match="degenerate"):
-            aggregate_gallery("s", [[1.0, 0.0], [-1.0, 0.0]])
+            aggregate_gallery({"s": [[1.0, 0.0], [-1.0, 0.0]]})
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):
-            aggregate_gallery("s", [[0.0, 0.0]])
+            aggregate_gallery({"s": [[0.0, 0.0]]})
 
     def test_max_score_keeps_media_vectors(self):
-        template = aggregate_gallery("s", [[1.0, 0.0], [-1.0, 0.0]], method="max_score")
-        assert template.vector is None
-        assert template.media_vectors.shape == (2, 2)
-        assert template.media_count == 2
+        gallery = aggregate_gallery({"s": [[1.0, 0.0], [-1.0, 0.0]]}, method="max_score")
+        assert gallery.starts.tolist() == [0]
+        assert gallery.rows.shape == (2, 2)
+        assert len(gallery) == 1
+
+
+def reference_template(vectors, method):
+    """One subject's template rows, built alone: normalize, then mean and 1-D norm."""
+    unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    if method == "max_score":
+        return unit
+    mean = unit.mean(axis=0)
+    return (mean / np.linalg.norm(mean))[None, :]
+
+
+# Each fault, as (vectors, message) for a gallery of 2-d vectors.
+GALLERY_FAULTS = {
+    "zero": ([[0.0, 0.0]], "zero-norm vector cannot be normalized"),
+    "nan": ([[1.0, 0.0], [np.nan, 1.0]], "vectors must be finite"),
+    "inf": ([[np.inf, 1.0]], "vectors must be finite"),
+    "empty": (np.empty((0, 2)), r"expected a non-empty \(m, 2\) array, got \(0, 2\)"),
+    "dim": ([[1.0, 0.0, 0.0]], r"expected a non-empty \(m, 2\) array, got \(1, 3\)"),
+    "antipodal": ([[1.0, 0.0], [-1.0, 0.0]], r"degenerate template \(zero mean vector\)"),
+}
+
+
+class TestGallery:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 6), min_size=1, max_size=30),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_stacked_builder_equals_per_subject_reference(self, counts, dim, seed, scale):
+        rng = np.random.default_rng(seed)
+        media = {f"s{j}": rng.normal(scale=scale, size=(k, dim)) for j, k in enumerate(counts)}
+        for method in AGGREGATION_METHODS:
+            try:
+                gallery = aggregate_gallery(media, method)
+            except ValidationError as exc:  # a vanishing mean, e.g. d=1 with opposite signs
+                assert method == "mean" and "degenerate" in str(exc)
+                continue
+            assert gallery.subject_ids == tuple(media)
+            want = [reference_template(v, method) for v in media.values()]
+            assert np.array_equal(gallery.rows, np.concatenate(want)), method
+            sizes = np.diff(np.append(gallery.starts, len(gallery.rows)))
+            assert sizes.tolist() == [len(w) for w in want]
+            assert not gallery.rows.flags.writeable and not gallery.starts.flags.writeable
+
+    def test_build_gallery_templates_equals_aggregate_gallery(self):
+        rng = np.random.default_rng(84)
+        counts = [3, 1, 5, 2, 3, 4, 1]
+        ids = [f"m{i}" for i in range(sum(counts))]
+        embeddings = EmbeddingStore.from_matrix(ids, rng.normal(size=(len(ids), 6)))
+        shuffled = rng.permutation(ids).tolist()
+        entries, media = [], {}
+        for j, k in enumerate(counts):
+            mine, shuffled = shuffled[:k], shuffled[k:]
+            entries.append(GalleryEntry(f"g{j}", tuple(mine)))
+            media[f"g{j}"] = np.stack([embeddings.vector(m) for m in mine])
+        manifest = ProtocolManifest(gallery=tuple(entries), probes=())
+        for method in AGGREGATION_METHODS:
+            built = build_gallery_templates(manifest, embeddings, method)
+            fused = aggregate_gallery(media, method)
+            assert len(built) == len(counts)
+            assert built.subject_ids == fused.subject_ids
+            assert np.array_equal(built.rows, fused.rows)
+            assert np.array_equal(built.starts, fused.starts)
+
+    @pytest.mark.parametrize("fault", sorted(GALLERY_FAULTS))
+    def test_each_fault_names_its_subject(self, fault):
+        vectors, message = GALLERY_FAULTS[fault]
+        methods = ["mean"] if fault == "antipodal" else AGGREGATION_METHODS
+        for method in methods:
+            with pytest.raises(ValidationError, match=rf"^subject 'bad': {message}$"):
+                aggregate_gallery({"ok": [[1.0, 0.0]], "bad": vectors}, method)
+
+    @pytest.mark.parametrize("first", sorted(GALLERY_FAULTS))
+    @pytest.mark.parametrize("second", sorted(GALLERY_FAULTS))
+    def test_first_faulty_subject_in_gallery_order_wins(self, first, second):
+        media = {
+            "ok": [[1.0, 0.0]],
+            "one": GALLERY_FAULTS[first][0],
+            "fine": [[0.0, 2.0], [1.0, 1.0]],
+            "two": GALLERY_FAULTS[second][0],
+        }
+        with pytest.raises(ValidationError, match=rf"^subject 'one': {GALLERY_FAULTS[first][1]}$"):
+            aggregate_gallery(media, "mean")
+
+    def test_dimension_disagreement_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"^subject 'b': expected a non-empty \(m, 3\)"):
+            aggregate_gallery({"a": np.ones((2, 3)), "b": np.ones((4, 2))}, "max_score")
+
+    def test_unknown_method_is_reported_first(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            aggregate_gallery({"bad": [[0.0, 0.0]]}, "median")
+
+    def test_score_does_not_copy_the_gallery_rows(self):
+        """A max_score gallery of about 40 MiB of rows is scored without a second copy."""
+        rng = np.random.default_rng(85)
+        gallery = aggregate_gallery(
+            {f"g{j}": rng.normal(size=(5, 1024)) for j in range(1000)}, "max_score"
+        )
+        probes = rng.normal(size=(64, 1024))
+        ids = [f"p{i}" for i in range(64)]
+        for metric in SCORE_METRICS:
+            tracemalloc.start()
+            try:
+                score(probes, gallery, metric=metric, probe_ids=ids)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < gallery.rows.nbytes / 2, (metric, peak / gallery.rows.nbytes)
 
 
 class TestScore:
     def test_probe_equals_template(self):
-        gallery = [aggregate_gallery("g1", [[1.0, 0.0]]), aggregate_gallery("g2", [[0.0, 1.0]])]
+        gallery = aggregate_gallery({"g1": [[1.0, 0.0]], "g2": [[0.0, 1.0]]})
         matrix = score(np.array([[2.0, 0.0]]), gallery, probe_ids=["p"])
         assert matrix.scores[0, 0] == 1.0
         assert matrix.scores[0, 1] == 0.0
@@ -93,7 +203,7 @@ class TestScore:
         rng = np.random.default_rng(80)
         probes = rng.normal(size=(3, 5))
         media = [rng.normal(size=(1, 5)) for _ in range(4)]
-        gallery = [aggregate_gallery(f"g{j}", m) for j, m in enumerate(media)]
+        gallery = aggregate_gallery({f"g{j}": m for j, m in enumerate(media)})
         cos = score(probes, gallery, metric="cosine", probe_ids=["a", "b", "c"])
         neg = score(probes, gallery, metric="neg_euclidean", probe_ids=["a", "b", "c"])
         for i in range(3):
@@ -106,7 +216,7 @@ class TestScore:
     def test_rescaling_probes_leaves_cosine_unchanged(self):
         rng = np.random.default_rng(81)
         probes = rng.normal(size=(6, 4))
-        gallery = [aggregate_gallery(f"g{j}", rng.normal(size=(2, 4))) for j in range(5)]
+        gallery = aggregate_gallery({f"g{j}": rng.normal(size=(2, 4)) for j in range(5)})
         ids = [f"p{i}" for i in range(6)]
         base = score(probes, gallery, probe_ids=ids)
         scales = rng.uniform(0.1, 40.0, size=(6, 1))
@@ -114,13 +224,13 @@ class TestScore:
         assert np.max(np.abs(base.scores - scaled.scores)) < 1e-9
 
     def test_dimension_mismatch(self):
-        gallery = [aggregate_gallery("g", [[1.0, 0.0, 0.0]])]
+        gallery = aggregate_gallery({"g": [[1.0, 0.0, 0.0]]})
         with pytest.raises(ValueError, match="dim"):
             score(np.ones((2, 2)), gallery, probe_ids=["a", "b"])
 
     def test_max_score_takes_best_media(self):
-        template = aggregate_gallery("g", [[1.0, 0.0], [0.0, 1.0]], method="max_score")
-        matrix = score(np.array([[0.0, 3.0]]), [template], probe_ids=["p"])
+        gallery = aggregate_gallery({"g": [[1.0, 0.0], [0.0, 1.0]]}, method="max_score")
+        matrix = score(np.array([[0.0, 3.0]]), gallery, probe_ids=["p"])
         assert matrix.scores[0, 0] == 1.0
 
     def test_stacked_scoring_matches_per_template_loop(self):
@@ -130,15 +240,16 @@ class TestScore:
         media = [rng.normal(size=(m, 8)) for m in (1, 5, 3, 2, 4, 1, 5)]
         unit = probes / np.linalg.norm(probes, axis=1, keepdims=True)
         for method in AGGREGATION_METHODS:
-            gallery = [aggregate_gallery(f"g{j}", m, method) for j, m in enumerate(media)]
+            gallery = aggregate_gallery({f"g{j}": m for j, m in enumerate(media)}, method)
+            templates = np.split(gallery.rows, gallery.starts[1:])
             for metric in SCORE_METRICS:
                 got = score(probes, gallery, metric=metric, probe_ids=ids).scores
                 if metric == "cosine":
-                    cols = [np.clip((unit @ t.rows.T).max(axis=1), -1.0, 1.0) for t in gallery]
+                    cols = [np.clip((unit @ t.T).max(axis=1), -1.0, 1.0) for t in templates]
                 else:
                     cols = [
-                        -np.linalg.norm(probes[:, None, :] - t.rows[None], axis=2).min(axis=1)
-                        for t in gallery
+                        -np.linalg.norm(probes[:, None, :] - t[None], axis=2).min(axis=1)
+                        for t in templates
                     ]
                 assert np.max(np.abs(got - np.column_stack(cols))) <= 1e-12, (method, metric)
 
@@ -146,7 +257,7 @@ class TestScore:
         rng = np.random.default_rng(83)
         probes = rng.normal(size=(2050, 8))
         ids = [f"p{i}" for i in range(2050)]
-        gallery = [aggregate_gallery(f"g{j}", rng.normal(size=(3, 8))) for j in range(7)]
+        gallery = aggregate_gallery({f"g{j}": rng.normal(size=(3, 8)) for j in range(7)})
         for metric in SCORE_METRICS:
             whole = score(probes, gallery, metric=metric, probe_ids=ids).scores
             head = score(probes[:1024], gallery, metric=metric, probe_ids=ids[:1024]).scores

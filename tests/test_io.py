@@ -276,6 +276,11 @@ class TestEmbeddingFormats:
         with pytest.raises(ValidationError, match="dimension"):
             load_embeddings(path, format="text")
 
+    def test_text_integer_components_widen_to_float(self, tmp_path):
+        path = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [1, -2, 0.5]}])
+        store = load_embeddings(path, format="text")
+        assert store.matrix.tolist() == [[1.0, -2.0, 0.5]]
+
     def test_binary_header_contract(self, tmp_path):
         rng = np.random.default_rng(11)
         store = EmbeddingStore(
