@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
-from .errors import BiomevalError, preview
+from .errors import BiomevalError, brief, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
@@ -145,6 +145,14 @@ def _resolve(args, config: dict, key: str, default=None):
     return default
 
 
+def _resolve_list(args, config: dict, key: str, default):
+    """A repeatable flag's values if given, else the config file's list, else the default."""
+    value = _resolve(args, config, key, default)
+    if not isinstance(value, (list, tuple)):
+        raise BiomevalError(f"config key {key!r} must be a list, got {brief(value)}")
+    return value
+
+
 def _required(value, flag: str) -> str:
     if value is None:
         raise BiomevalError(f"missing required input: {flag}")
@@ -160,7 +168,7 @@ def _resolve_out(args, config: dict) -> Path:
 
 def _cmd_eval_det(args) -> int:
     config = _load_config_file(args)
-    thresholds = iou_thresholds(_resolve(args, config, "iou", DEFAULT_IOU_THRESHOLDS))
+    thresholds = iou_thresholds(_resolve_list(args, config, "iou", DEFAULT_IOU_THRESHOLDS))
     inputs = {
         "detections": _required(_resolve(args, config, "det"), "--det"),
         "ground_truth": _required(_resolve(args, config, "gt"), "--gt"),
@@ -225,9 +233,9 @@ def _cmd_eval_id(args) -> int:
             f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}"
         )
     far_targets = tuple(
-        far_target(f) for f in _resolve(args, config, "far", list(DEFAULT_FAR_TARGETS))
+        far_target(f) for f in _resolve_list(args, config, "far", DEFAULT_FAR_TARGETS)
     )
-    ranks = tuple(int(r) for r in _resolve(args, config, "ranks", list(DEFAULT_RANKS)))
+    ranks = tuple(int(r) for r in _resolve_list(args, config, "ranks", DEFAULT_RANKS))
     if any(k < 1 for k in ranks):
         raise BiomevalError(f"ranks must be positive, got {list(ranks)}")
     run = RunConfig(

@@ -27,6 +27,8 @@ AGGREGATION_METHODS = ("mean", "max_score")
 SCORE_METRICS = ("cosine", "neg_euclidean")
 
 _SCORE_CHUNK = 1024
+# Bytes of one probe tile's range-max table, so that it stays in a core's L2 cache.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +166,49 @@ class ScoreMatrix:
         return ScoreMatrix(tuple(probe_ids), self.subject_ids, self.scores[rows])
 
 
+def _subject_maxima(starts: np.ndarray, n_rows: int):
+    """A reducer writing each subject's maximum of a (p, n_rows) block into a (p, G) block.
+
+    Sparse-table range maximum over a few probe rows at a time, so the
+    table stays cache-sized. Level 0 is the tile's block rows, and level l
+    is the maximum of level l-1 and itself shifted by 2**(l-1) columns, so
+    level l at column j covers rows j..j+2**l-1. A subject with c rows
+    from s reads level L = floor(log2 c) at s and at s+c-2**L, two windows
+    that cover its rows exactly. Maximum is exact, so every value equals
+    np.maximum.reduceat's; only the sign of a zero maximum could differ,
+    and only where one subject's scores hold both +0.0 and -0.0.
+    """
+    counts = np.diff(starts, append=n_rows)
+    level = np.frexp(counts)[1].astype(np.intp) - 1  # floor(log2 c), exact for integer c
+    depth = int(level.max()) + 1
+    left = level * n_rows + starts
+    right = left + counts - np.left_shift(1, level)
+    tile = max(1, _TILE_BYTES // (8 * depth * n_rows))
+    table = np.empty((tile, depth, n_rows))
+    flat = table.reshape(tile, depth * n_rows)
+
+    def reduce(block: np.ndarray, out: np.ndarray) -> None:
+        for lo in range(0, block.shape[0], tile):
+            n = min(tile, block.shape[0] - lo)
+            table[:n, 0] = block[lo : lo + n]
+            for lev in range(1, depth):
+                half = 1 << (lev - 1)
+                width = n_rows - 2 * half + 1
+                np.maximum(
+                    table[:n, lev - 1, :width],
+                    table[:n, lev - 1, half : half + width],
+                    out=table[:n, lev, :width],
+                )
+            levels = flat[:n]
+            np.maximum(
+                np.take(levels, left, axis=1),
+                np.take(levels, right, axis=1),
+                out=out[lo : lo + n],
+            )
+
+    return reduce
+
+
 def score(
     probes,
     gallery: Gallery,
@@ -177,10 +222,14 @@ def score(
     land in [-1, 1]; neg_euclidean scores are negated distances to the
     gallery rows.
 
-    Each probe chunk is scored against all of gallery.rows and reduced to
-    the best row of each subject. Chunks hold at most
-    _SCORE_CHUNK x len(gallery) cells, so a mean gallery (one row per
-    subject) is chunked every _SCORE_CHUNK probes.
+    Each probe chunk is multiplied by all of gallery.rows in one product
+    of at most _SCORE_CHUNK x len(gallery) cells, so a mean gallery (one
+    row per subject) is chunked every _SCORE_CHUNK probes. When every
+    subject owns one row the product is the score block itself; otherwise
+    each subject's maximum over its rows comes from a log-depth range-max
+    table built over a few probe rows at a time (see _subject_maxima).
+    Chunk boundaries and shapes depend only on the gallery's shape, so
+    reruns reproduce every score bit for bit.
     """
     if metric not in SCORE_METRICS:
         raise ValueError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
@@ -207,9 +256,12 @@ def score(
         row_sq = np.concatenate([(part * part).sum(axis=1) for part in parts])
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
     scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
+    # One row per subject: the product is the score block.
+    reduce = None if rows.shape[0] == len(gallery) else _subject_maxima(gallery.starts, len(rows))
     for lo in range(0, x.shape[0], step):
         chunk = x[lo : lo + step]
-        block = chunk @ rows.T
+        out = scores[lo : lo + step]
+        block = np.matmul(chunk, rows.T, out=out if reduce is None else None)
         if metric == "neg_euclidean":
             # -sqrt(|x|^2 - 2 x.r + |r|^2), built in place on the product.
             block *= -2.0
@@ -218,7 +270,8 @@ def score(
             np.maximum(block, 0.0, out=block)
             np.sqrt(block, out=block)
             np.negative(block, out=block)
-        np.maximum.reduceat(block, gallery.starts, axis=1, out=scores[lo : lo + step])
+        if reduce is not None:
+            reduce(block, out)
     if metric == "cosine":
         np.clip(scores, -1.0, 1.0, out=scores)
     scores.setflags(write=False)

@@ -347,6 +347,26 @@ class TestEvalId:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("eval-id", "far", 0.01),
+    ("eval-id", "ranks", 5),
+    ("eval-det", "iou", 0.5),
+])
+def test_scalar_for_a_list_config_key_exits_1_before_reading_inputs(command, key, value,
+                                                                     tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+    absent = str(tmp_path / "absent")
+    inputs = {"eval-id": ["--emb", absent, "--protocol", absent],
+              "eval-det": ["--det", absent, "--gt", absent]}[command]
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--config", str(config_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config key {key!r} must be a list, got {value!r}\n"
+    assert not out.exists()
+
+
 class TestPlanBatches:
     def test_default_plan_shape(self, tmp_path):
         media_path = write_jsonl(tmp_path / "media.jsonl", media_index_rows())

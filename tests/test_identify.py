@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biomeval import (
@@ -21,6 +22,7 @@ from biomeval import (
     score,
     tar_at_far,
 )
+from biomeval import identify
 from biomeval.identify import (
     AGGREGATION_METHODS,
     DEFAULT_FAR_TARGETS,
@@ -175,21 +177,52 @@ class TestGallery:
             aggregate_gallery({"bad": [[0.0, 0.0]]}, "median")
 
     def test_score_does_not_copy_the_gallery_rows(self):
-        """A max_score gallery of about 40 MiB of rows is scored without a second copy."""
-        rng = np.random.default_rng(85)
-        gallery = aggregate_gallery(
-            {f"g{j}": rng.normal(size=(5, 1024)) for j in range(1000)}, "max_score"
-        )
-        probes = rng.normal(size=(64, 1024))
-        ids = [f"p{i}" for i in range(64)]
-        for metric in SCORE_METRICS:
-            tracemalloc.start()
-            try:
-                score(probes, gallery, metric=metric, probe_ids=ids)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < gallery.rows.nbytes / 2, (metric, peak / gallery.rows.nbytes)
+        """max_score galleries are scored without a second copy of their rows.
+
+        The skewed gallery's one subject of 4096 media needs a 13-level
+        range-max table, which must stay a few probe rows high.
+        """
+        for counts, dim in (([5] * 1000, 1024), ([4096] + [5] * 199, 512)):
+            rng = np.random.default_rng(85)
+            gallery = aggregate_gallery(
+                {f"g{j}": rng.normal(size=(c, dim)) for j, c in enumerate(counts)}, "max_score"
+            )
+            probes = rng.normal(size=(64, dim))
+            ids = [f"p{i}" for i in range(64)]
+            for metric in SCORE_METRICS:
+                tracemalloc.start()
+                try:
+                    score(probes, gallery, metric=metric, probe_ids=ids)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                ratio = peak / gallery.rows.nbytes
+                assert ratio < 0.5, (len(counts), metric, ratio)
+
+
+def reduceat_scores(probes, gallery, metric):
+    """score()'s matrix from the same chunk products, reduced by np.maximum.reduceat."""
+    rows = gallery.rows
+    x = probes / np.linalg.norm(probes, axis=1)[:, None] if metric == "cosine" else probes
+    step = max(1, identify._SCORE_CHUNK * len(gallery) // len(rows))
+    out = np.empty((len(x), len(gallery)))
+    for lo in range(0, len(x), step):
+        chunk = x[lo : lo + step]
+        block = chunk @ rows.T
+        if metric == "neg_euclidean":
+            block = -np.sqrt(np.maximum(
+                -2.0 * block + (chunk * chunk).sum(axis=1)[:, None] + (rows * rows).sum(axis=1), 0.0
+            ))
+        out[lo : lo + step] = np.maximum.reduceat(block, gallery.starts, axis=1)
+    return np.clip(out, -1.0, 1.0) if metric == "cosine" else out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Media counts on both sides of powers of two, where the range-max level changes.
+EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
 
 
 class TestScore:
@@ -252,6 +285,86 @@ class TestScore:
                         for t in templates
                     ]
                 assert np.max(np.abs(got - np.column_stack(cols))) <= 1e-12, (method, metric)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small=st.lists(st.sampled_from(EDGE_COUNTS), min_size=3, max_size=12),
+        big=st.integers(1025, 1100),
+        at=st.integers(0, 12),
+        dim=st.integers(1, 6),
+        n_probes=st.integers(1, 40),
+        tile_rows=st.integers(1, 4),
+        ternary=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 12 subjects, 1112 rows: 11-probe chunks in 3-row tiles, 26 probes.
+    @example(small=[1, 3, 4, 5, 7, 8, 9, 2, 15, 16, 17], big=1025, at=7, dim=4, n_probes=26,
+             tile_rows=3, ternary=False, seed=0)
+    def test_scores_equal_reduceat_over_the_same_products(
+        self, small, big, at, dim, n_probes, tile_rows, ternary, seed
+    ):
+        rng = np.random.default_rng(seed)
+        counts = small[:at] + [big] + small[at:]
+        # Ternary draws tie often; with no zero component no product is -0.0.
+        if ternary:
+            def draw(*shape):
+                return rng.integers(-1, 2, size=shape) + 0.5
+        else:
+            def draw(*shape):
+                return rng.normal(size=shape)
+        media = {f"g{j}": draw(c, dim) for j, c in enumerate(counts)}
+        probes = draw(n_probes, dim)
+        ids = [f"p{i}" for i in range(n_probes)]
+        # A table of exactly tile_rows probe rows: 8 bytes x levels x gallery rows each.
+        tile_bytes = tile_rows * 8 * big.bit_length() * sum(counts)
+        for method in AGGREGATION_METHODS:
+            try:
+                gallery = aggregate_gallery(media, method)
+            except ValidationError as exc:  # a vanishing mean, e.g. d=1 with opposite signs
+                assert method == "mean" and "degenerate" in str(exc)
+                continue
+            for metric in SCORE_METRICS:
+                with mock.patch.object(identify, "_TILE_BYTES", tile_bytes):
+                    got = score(probes, gallery, metric=metric, probe_ids=ids).scores
+                assert same_bits(got, reduceat_scores(probes, gallery, metric)), (method, metric)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.sampled_from(EDGE_COUNTS), min_size=1, max_size=10),
+        n=st.integers(1, 7),
+        tile_rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_range_max_equals_reduceat_through_ties_and_nan(self, counts, n, tile_rows, seed):
+        rng = np.random.default_rng(seed)
+        values, p = [-1.0, 0.0, 0.5, np.nan], [0.45, 0.25, 0.29, 0.01]
+        block = rng.choice(values, p=p, size=(n, sum(counts)))
+        starts = np.cumsum(counts) - counts
+        tile_bytes = tile_rows * 8 * max(counts).bit_length() * sum(counts)
+        with mock.patch.object(identify, "_TILE_BYTES", tile_bytes):
+            reduce = identify._subject_maxima(starts, sum(counts))
+        out = np.empty((n, len(counts)))
+        reduce(block, out)
+        assert same_bits(out, np.maximum.reduceat(block, starts, axis=1))
+        # A zero maximum's sign is the one thing reduceat's vector width may decide.
+        block[block == 0.0] = rng.choice([0.0, -0.0], size=int((block == 0.0).sum()))
+        reduce(block, out)
+        assert np.array_equal(out, np.maximum.reduceat(block, starts, axis=1), equal_nan=True)
+
+    def test_one_row_galleries_take_the_product_directly(self):
+        rng = np.random.default_rng(86)
+        probes = rng.normal(size=(2051, 6))
+        ids = [f"p{i}" for i in range(2051)]
+        galleries = [
+            aggregate_gallery({f"g{j}": rng.normal(size=(3, 6)) for j in range(9)}, "mean"),
+            aggregate_gallery({f"g{j}": rng.normal(size=(1, 6)) for j in range(9)}, "max_score"),
+        ]
+        no_reduction = mock.patch.object(identify, "_subject_maxima", side_effect=AssertionError)
+        for gallery in galleries:
+            for metric in SCORE_METRICS:
+                with no_reduction:
+                    got = score(probes, gallery, metric=metric, probe_ids=ids).scores
+                assert same_bits(got, reduceat_scores(probes, gallery, metric)), metric
 
     def test_mean_scores_do_not_depend_on_probe_batching(self):
         rng = np.random.default_rng(83)
