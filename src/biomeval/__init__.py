@@ -48,7 +48,6 @@ from .io import (
     load_protocol,
     sniff_embedding_format,
     write_embeddings,
-    write_protocol,
 )
 from .losses import (
     DEFAULT_BETA,

@@ -1,7 +1,12 @@
 """Command-line front-end binding the library into reproducible evaluation runs.
 
 Subcommands: eval-det, eval-id, plan-batches, check-losses, convert-emb.
-Every file-writing run also writes run_manifest.json with the resolved
+Each option takes its flag's value, else the --config file's value under the
+flag's destination name, else the flag's default. A config value must have
+its flag's JSON kind (a string, an integer, a number, or a list of one of
+these for a repeatable flag) and gets the flag's checks, all before any input
+is read; a flag given on the command line replaces a config list. Every
+file-writing run also writes run_manifest.json with the resolved
 configuration, seed, input digests, and tool version; reruns on identical
 inputs produce identical bytes. Floats in reports carry 6 significant
 digits.
@@ -65,8 +70,9 @@ def round6(value: float) -> float:
 class RunConfig:
     """Resolved configuration for one evaluation run.
 
-    Input paths must exist when the config is built; the output directory
-    is created if absent.
+    Input paths must exist when the config is built. Each command creates
+    the output directory just before it writes its first output, so a run
+    that fails on its inputs leaves no directory behind.
     """
 
     out_dir: Path
@@ -77,7 +83,8 @@ class RunConfig:
         for flag, path in self.inputs.items():
             if not Path(path).exists():
                 raise FileNotFoundError(f"no such file ({flag}): {path}")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        if self.out_dir.exists() and not self.out_dir.is_dir():
+            raise FileExistsError(f"output directory is a file: {self.out_dir}")
 
 
 def _round_floats(obj):
@@ -116,81 +123,107 @@ def _write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
     _write_json(out_dir / "run_manifest.json", manifest)
 
 
-def _load_config_file(args) -> dict:
-    """The --config JSON object; its keys must be destinations of the subcommand's flags."""
-    if args.config is None:
+# The JSON kind of a config value, by its flag's argparse type: the Python
+# types it may have (never a bool), and its name in messages, alone and in a list.
+_JSON_KINDS = {
+    int: (int, "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    None: (str, "a string", "strings"),
+}
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value converted as its flag's argument would be.
+
+    It must have the JSON kind of the flag's type (a list of that kind for a
+    repeatable flag), lie among the flag's choices, and then goes through the
+    flag's type, so `{"iou": [1]}` reads as [1.0].
+    """
+    key = action.dest
+    repeatable = isinstance(action, argparse._AppendAction)
+    if repeatable and not isinstance(value, list):
+        raise BiomevalError(f"config key {key!r} must be a list, got {brief(value)}")
+    accepted, kind, kinds = _JSON_KINDS[action.type]
+    items = value if repeatable else [value]
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, accepted):
+            expected = f"a list of {kinds}" if repeatable else kind
+            raise BiomevalError(f"config key {key!r} must be {expected}, got {brief(value)}")
+        if action.choices is not None and v not in action.choices:
+            raise BiomevalError(f"config key {key!r} must be one of {list(action.choices)}, got {brief(v)}")
+    try:
+        items = [v if action.type is None else action.type(v) for v in items]
+    except OverflowError:
+        raise BiomevalError(f"config key {key!r} is beyond the float range, got {brief(value)}") from None
+    return items if repeatable else items[0]
+
+
+def _load_config_file(path, actions) -> dict:
+    """The --config JSON object, each value converted by _config_value; its keys
+    must be destinations of the subcommand's flags."""
+    if path is None:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise BiomevalError("config file must hold a JSON object")
-    # The parsed namespace holds every destination of the subcommand's parser,
-    # plus the subcommand name and handler; a config cannot name another config.
-    allowed = set(vars(args)) - {"command", "func", "config"}
-    unknown = sorted(set(doc) - allowed)
+    by_key = {action.dest: action for action in actions}
+    unknown = sorted(set(doc) - set(by_key))
     if unknown:
-        raise BiomevalError(
-            f"config file has unknown keys {preview(unknown)}; allowed keys: {sorted(allowed)}"
-        )
-    return doc
+        raise BiomevalError(f"config file has unknown keys {preview(unknown)}; allowed keys: {sorted(by_key)}")
+    return {key: _config_value(by_key[key], value) for key, value in doc.items()}
 
 
-def _resolve(args, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else the default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: each destination takes its flag's value when the
+    flag is given, else the --config file's value, else the flag's default."""
 
-
-def _resolve_list(args, config: dict, key: str, default):
-    """A repeatable flag's values if given, else the config file's list, else the default."""
-    value = _resolve(args, config, key, default)
-    if not isinstance(value, (list, tuple)):
-        raise BiomevalError(f"config key {key!r} must be a list, got {brief(value)}")
-    return value
+    def parse_known_args(self, args=None, namespace=None):
+        actions = [a for a in self._actions if a.dest not in ("help", "config")]
+        # Every destination starts at None, so argparse applies no default and
+        # one still None afterwards had no flag. A repeatable flag then starts
+        # from an empty list: it replaces a config list (or its default)
+        # instead of extending it.
+        namespace = namespace or argparse.Namespace()
+        for action in actions:
+            vars(namespace).setdefault(action.dest, None)
+        given, extras = super().parse_known_args(args, namespace)
+        config = _load_config_file(getattr(given, "config", None), actions)
+        for action in actions:
+            if getattr(given, action.dest) is None:
+                setattr(given, action.dest, config.get(action.dest, action.default))
+        return given, extras
 
 
 def _required(value, flag: str) -> str:
     if value is None:
         raise BiomevalError(f"missing required input: {flag}")
-    return str(value)
+    return value
 
 
-def _resolve_out(args, config: dict) -> Path:
-    out = _resolve(args, config, "out")
-    if out is None:
+def _out_dir(args) -> Path:
+    if args.out is None:
         raise BiomevalError("missing required output directory: --out")
-    return Path(out)
+    return Path(args.out)
 
 
 def _cmd_eval_det(args) -> int:
-    config = _load_config_file(args)
-    thresholds = iou_thresholds(_resolve_list(args, config, "iou", DEFAULT_IOU_THRESHOLDS))
+    thresholds = iou_thresholds(args.iou)
     inputs = {
-        "detections": _required(_resolve(args, config, "det"), "--det"),
-        "ground_truth": _required(_resolve(args, config, "gt"), "--gt"),
+        "detections": _required(args.det, "--det"),
+        "ground_truth": _required(args.gt, "--gt"),
     }
-    media_path = _resolve(args, config, "media")
-    if media_path is not None:
-        inputs["media"] = str(media_path)
-    run = RunConfig(
-        out_dir=_resolve_out(args, config),
-        inputs=inputs,
-        seed=int(_resolve(args, config, "seed", 0)),
-    )
-    box_format = _resolve(args, config, "box_format", "xywh")
+    if args.media is not None:
+        inputs["media"] = args.media
+    run = RunConfig(out_dir=_out_dir(args), inputs=inputs, seed=args.seed)
     out = run.out_dir
 
-    dets = load_detections(inputs["detections"], box_format=box_format)
-    gts = load_ground_truth(inputs["ground_truth"], box_format=box_format)
-    media_tags = None
-    if media_path is not None:
-        media_tags = load_media_index(inputs["media"]).media_tags()
+    dets = load_detections(inputs["detections"], box_format=args.box_format)
+    gts = load_ground_truth(inputs["ground_truth"], box_format=args.box_format)
+    media_tags = None if args.media is None else load_media_index(args.media).media_tags()
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "detection_report.json", report.to_dict())
 
     lines = [f"detection evaluation at IoU thresholds {list(thresholds)}"]
@@ -211,50 +244,34 @@ def _cmd_eval_det(args) -> int:
     (out / "detection_summary.txt").write_text(summary, encoding="utf-8")
     print(summary, end="")
 
-    run_config = {
-        "iou_thresholds": list(thresholds),
-        "box_format": box_format,
-        "seed": run.seed,
-    }
+    run_config = {"iou_thresholds": list(thresholds), "box_format": args.box_format, "seed": run.seed}
     _write_run_manifest(
-        out, "eval-det", run_config, inputs,
-        ["detection_report.json", "detection_summary.txt"],
+        out, "eval-det", run_config, inputs, ["detection_report.json", "detection_summary.txt"]
     )
     return 0
 
 
 def _cmd_eval_id(args) -> int:
-    config = _load_config_file(args)
-    rank_cap = _resolve(args, config, "rank_cap")
-    if rank_cap is not None and (
-        isinstance(rank_cap, bool) or not isinstance(rank_cap, int) or rank_cap < 1
-    ):
-        raise BiomevalError(
-            f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}"
-        )
-    far_targets = tuple(
-        far_target(f) for f in _resolve_list(args, config, "far", DEFAULT_FAR_TARGETS)
-    )
-    ranks = tuple(int(r) for r in _resolve_list(args, config, "ranks", DEFAULT_RANKS))
+    rank_cap, ranks = args.rank_cap, args.ranks
+    if rank_cap is not None and rank_cap < 1:
+        raise BiomevalError(f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}")
+    far_targets = tuple(far_target(f) for f in args.far)
     if any(k < 1 for k in ranks):
         raise BiomevalError(f"ranks must be positive, got {list(ranks)}")
     run = RunConfig(
-        out_dir=_resolve_out(args, config),
+        out_dir=_out_dir(args),
         inputs={
-            "embeddings": _required(_resolve(args, config, "emb"), "--emb"),
-            "protocol": _required(_resolve(args, config, "protocol"), "--protocol"),
+            "embeddings": _required(args.emb, "--emb"),
+            "protocol": _required(args.protocol, "--protocol"),
         },
-        seed=int(_resolve(args, config, "seed", 0)),
+        seed=args.seed,
     )
-    emb_path = run.inputs["embeddings"]
-    protocol_path = run.inputs["protocol"]
-    metric = _resolve(args, config, "metric", "cosine")
-    aggregate = _resolve(args, config, "aggregate", "mean")
-    emb_format = _resolve(args, config, "format") or sniff_embedding_format(emb_path)
+    metric, aggregate = args.metric, args.aggregate
+    emb_format = args.format or sniff_embedding_format(args.emb)
     out = run.out_dir
 
-    embeddings = load_embeddings(emb_path, format=emb_format)
-    manifest = load_protocol(protocol_path)
+    embeddings = load_embeddings(args.emb, format=emb_format)
+    manifest = load_protocol(args.protocol)
     gallery = build_gallery_templates(manifest, embeddings, method=aggregate)
     probe_ids, probes = probe_matrix(manifest, embeddings)
     matrix = score(probes, gallery, metric=metric, probe_ids=probe_ids)
@@ -268,13 +285,13 @@ def _cmd_eval_id(args) -> int:
     operating_points = evaluation.tar_at_far(far_targets)
     cmc_curve = evaluation.cmc()
     roc = evaluation.roc_curve()
+    open_set = evaluation.fnir_fpir(rank_cap=rank_cap) if evaluation.non_mate_rows.size else None
 
     outputs = ["identification_report.json", "cmc.csv", "roc.csv"]
+    out.mkdir(parents=True, exist_ok=True)
     cmc_curve.to_csv(out / "cmc.csv", columns=("rank", "accuracy"))
     roc.to_csv(out / "roc.csv", columns=("far", "tar", "threshold"))
-
-    if evaluation.non_mate_rows.size:
-        open_set = evaluation.fnir_fpir(rank_cap=rank_cap)
+    if open_set is not None:
         open_set.to_csv(out / "openset.csv", columns=("fpir", "fnir", "threshold"))
         outputs.append("openset.csv")
 
@@ -319,26 +336,17 @@ def _cmd_eval_id(args) -> int:
 
 
 def _cmd_plan_batches(args) -> int:
-    config = _load_config_file(args)
     run = RunConfig(
-        out_dir=_resolve_out(args, config),
-        inputs={"media": _required(_resolve(args, config, "media"), "--media")},
-        seed=int(_resolve(args, config, "seed", 0)),
+        out_dir=_out_dir(args),
+        inputs={"media": _required(args.media, "--media")},
+        seed=args.seed,
     )
     media_path = run.inputs["media"]
-    n = int(_resolve(args, config, "n", DEFAULT_SUBJECTS_PER_BATCH))
-    k = int(_resolve(args, config, "k", DEFAULT_MEDIA_PER_SUBJECT))
-    num_batches = int(_resolve(args, config, "num_batches", 1))
-    stride = int(_resolve(args, config, "stride", DEFAULT_STRIDE))
-    length = int(_resolve(args, config, "window_length", 16))
-    mode = _resolve(args, config, "mode", "train")
-    selection = _resolve(args, config, "selection", "window")
     seed = run.seed
-    sample_count = _resolve(args, config, "sample_count")
     out = run.out_dir
 
     index = load_media_index(media_path)
-    plan = pk_batches(index.media_by_subject(), n=n, k=k, num_batches=num_batches, seed=seed)
+    plan = pk_batches(index.media_by_subject(), n=args.n, k=args.k, num_batches=args.num_batches, seed=seed)
 
     planned_media = sorted({m for batch in plan.batches for m in batch})
     windows = {}
@@ -347,47 +355,39 @@ def _cmd_plan_batches(args) -> int:
     for offset, media_id in enumerate(planned_media, start=1):
         window = frame_window(
             frame_count=index.get(media_id).frame_count,
-            stride=stride,
-            length=length,
-            mode=mode,
+            stride=args.stride,
+            length=args.window_length,
+            mode=args.mode,
             seed=seed + offset,
-            selection=selection,
+            selection=args.selection,
         )
         windows[media_id] = {"indices": list(window.indices), "mask": list(window.mask)}
 
+    run_config = {
+        "n": args.n, "k": args.k, "num_batches": args.num_batches, "stride": args.stride,
+        "window_length": args.window_length, "mode": args.mode, "selection": args.selection, "seed": seed,
+    }
     payload = {
+        **run_config,
         "generator": GENERATOR_NAME,
-        "seed": seed,
-        "n": n,
-        "k": k,
         "batch_size": plan.batch_size,
-        "num_batches": num_batches,
-        "stride": stride,
         "stride_choices": list(STANDARD_TEST_STRIDES),
-        "window_length": length,
-        "mode": mode,
-        "selection": selection,
         "batches": [list(batch) for batch in plan.batches],
         "frame_windows": windows,
     }
-    if sample_count is not None:
+    if args.sample_count is not None:
         weights = dataset_balanced_weights(index.media_by_tag())
         payload["dataset_weights"] = {tag: weights.per_dataset[tag] for tag in sorted(weights.per_dataset)}
-        payload["sampled_media"] = sample_media(weights, int(sample_count), seed)
+        payload["sampled_media"] = sample_media(weights, args.sample_count, seed)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "plan.json", payload)
-    print(f"wrote plan for {num_batches} batch(es) of {plan.batch_size} media to {out / 'plan.json'}")
-
-    run_config = {
-        "n": n, "k": k, "num_batches": num_batches, "stride": stride,
-        "window_length": length, "mode": mode, "selection": selection, "seed": seed,
-    }
+    print(f"wrote plan for {args.num_batches} batch(es) of {plan.batch_size} media to {out / 'plan.json'}")
     _write_run_manifest(out, "plan-batches", run_config, {"media": media_path}, ["plan.json"])
     return 0
 
 
 def _cmd_check_losses(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    report = run_self_check(seed=seed)
+    report = run_self_check(seed=args.seed)
     print(
         f"loss defaults: beta=1/9 ({round6(DEFAULT_BETA)}), margin={DEFAULT_MARGIN}, "
         f"epsilon={DEFAULT_EPSILON}"
@@ -403,12 +403,11 @@ def _cmd_check_losses(args) -> int:
 
 
 def _cmd_convert_emb(args) -> int:
-    emb_path = _required(args.emb, "--emb")
-    if not Path(emb_path).exists():
-        raise FileNotFoundError(f"no such file: {emb_path}")
+    if not Path(args.emb).exists():
+        raise FileNotFoundError(f"no such file: {args.emb}")
     target = args.format
-    source = sniff_embedding_format(emb_path)
-    store = load_embeddings(emb_path, format=source)
+    source = sniff_embedding_format(args.emb)
+    store = load_embeddings(args.emb, format=source)
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -420,7 +419,7 @@ def _cmd_convert_emb(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--out", help="output directory (created if absent)")
-    parser.add_argument("--seed", type=int, help="seed for the deterministic RNG")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the deterministic RNG")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "closed/open-set identification metrics.",
     )
     parser.add_argument("--version", action="version", version=f"biomeval {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("eval-det", help="score detections against ground truth")
     _add_common(p)
@@ -438,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", help="ground-truth JSONL file")
     p.add_argument("--media", help="optional media-index JSONL supplying dataset tags")
     p.add_argument(
-        "--iou", type=float, action="append",
+        "--iou", type=float, action="append", default=DEFAULT_IOU_THRESHOLDS,
         help=f"IoU threshold, repeatable (default {list(DEFAULT_IOU_THRESHOLDS)})",
     )
-    p.add_argument("--box-format", dest="box_format", choices=("xywh", "xyxy"))
+    p.add_argument("--box-format", dest="box_format", choices=("xywh", "xyxy"), default="xywh")
     p.set_defaults(func=_cmd_eval_det)
 
     p = sub.add_parser("eval-id", help="closed- and open-set identification metrics")
@@ -450,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", help="protocol manifest JSON")
     p.add_argument("--format", choices=("text", "binary"), help="embedding format (default: sniff)")
     p.add_argument(
-        "--far", type=float, action="append",
+        "--far", type=float, action="append", default=DEFAULT_FAR_TARGETS,
         help=f"FAR target, repeatable (default {list(DEFAULT_FAR_TARGETS)})",
     )
-    p.add_argument("--rank", dest="ranks", type=int, action="append",
+    p.add_argument("--rank", dest="ranks", type=int, action="append", default=DEFAULT_RANKS,
                    help=f"report rank, repeatable (default {list(DEFAULT_RANKS)})")
-    p.add_argument("--metric", choices=("cosine", "neg_euclidean"))
-    p.add_argument("--aggregate", choices=("mean", "max_score"))
+    p.add_argument("--metric", choices=("cosine", "neg_euclidean"), default="cosine")
+    p.add_argument("--aggregate", choices=("mean", "max_score"), default="mean")
     p.add_argument("--rank-cap", dest="rank_cap", type=int,
                    help="count a mate search failed when its rank exceeds this cap")
     p.set_defaults(func=_cmd_eval_id)
@@ -464,25 +463,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-batches", help="emit a deterministic sampling plan")
     _add_common(p)
     p.add_argument("--media", help="media-index JSONL file")
-    p.add_argument("--n", type=int, help=f"subjects per batch (default {DEFAULT_SUBJECTS_PER_BATCH})")
-    p.add_argument("--k", type=int, help=f"media per subject (default {DEFAULT_MEDIA_PER_SUBJECT})")
-    p.add_argument("--num-batches", dest="num_batches", type=int, help="batches to plan (default 1)")
+    p.add_argument("--n", type=int, default=DEFAULT_SUBJECTS_PER_BATCH, help=f"subjects per batch (default {DEFAULT_SUBJECTS_PER_BATCH})")
+    p.add_argument("--k", type=int, default=DEFAULT_MEDIA_PER_SUBJECT, help=f"media per subject (default {DEFAULT_MEDIA_PER_SUBJECT})")
+    p.add_argument("--num-batches", dest="num_batches", type=int, default=1, help="batches to plan (default 1)")
     p.add_argument(
-        "--stride", type=int,
+        "--stride", type=int, default=DEFAULT_STRIDE,
         help=f"frame stride; standard test strides are {list(STANDARD_TEST_STRIDES)} "
         f"(default {DEFAULT_STRIDE})",
     )
-    p.add_argument("--window-length", dest="window_length", type=int,
+    p.add_argument("--window-length", dest="window_length", type=int, default=16,
                    help="padded window length for train mode (default 16)")
-    p.add_argument("--mode", choices=("train", "test"))
-    p.add_argument("--selection", choices=("window", "uniform"),
+    p.add_argument("--mode", choices=("train", "test"), default="train")
+    p.add_argument("--selection", choices=("window", "uniform"), default="window",
                    help="train-mode frame pick: consecutive run or uniform subset")
     p.add_argument("--sample-count", dest="sample_count", type=int,
                    help="also draw this many media via dataset-balanced weights")
     p.set_defaults(func=_cmd_plan_batches)
 
     p = sub.add_parser("check-losses", help="run the loss self-check suite")
-    p.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks (default 0)")
     p.set_defaults(func=_cmd_check_losses)
 
     p = sub.add_parser("convert-emb", help="convert embeddings between text and binary")
@@ -495,9 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (BiomevalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

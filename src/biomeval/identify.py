@@ -256,12 +256,15 @@ def score(
         row_sq = np.concatenate([(part * part).sum(axis=1) for part in parts])
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
     scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
-    # One row per subject: the product is the score block.
+    # One row per subject: the product is the score block. Otherwise every
+    # chunk's product lands in one reused buffer before its reduction.
     reduce = None if rows.shape[0] == len(gallery) else _subject_maxima(gallery.starts, len(rows))
+    if reduce is not None:
+        product = np.empty((min(step, x.shape[0]), rows.shape[0]))
     for lo in range(0, x.shape[0], step):
         chunk = x[lo : lo + step]
         out = scores[lo : lo + step]
-        block = np.matmul(chunk, rows.T, out=out if reduce is None else None)
+        block = np.matmul(chunk, rows.T, out=out if reduce is None else product[: len(chunk)])
         if metric == "neg_euclidean":
             # -sqrt(|x|^2 - 2 x.r + |r|^2), built in place on the product.
             block *= -2.0

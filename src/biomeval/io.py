@@ -324,30 +324,6 @@ def load_protocol(path: str | Path) -> ProtocolManifest:
     return ProtocolManifest(gallery=tuple(gallery), probes=tuple(probes))
 
 
-def write_protocol(manifest: ProtocolManifest, path: str | Path) -> None:
-    doc = {
-        "gallery": [
-            {
-                "subject_id": e.subject_id,
-                "media_ids": list(e.media_ids),
-                "distractor": e.distractor,
-            }
-            for e in manifest.gallery
-        ],
-        "probes": [
-            {
-                "probe_id": p.probe_id,
-                "media_id": p.media_id,
-                "true_subject_id": p.true_subject_id,
-            }
-            for p in manifest.probes
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_media_index(path: str | Path) -> MediaIndex:
     """Load a media-index JSONL file (media_id, subject_id, dataset_tag, modality, frame_count)."""
     records = []

@@ -62,6 +62,21 @@ class TestEvalDet:
         assert code == 0
         assert read_json(out / "detection_report.json")["iou_thresholds"] == [0.5, 0.9]
 
+    def test_out_naming_a_file_exits_1_before_reading_inputs(self, two_group_files, tmp_path,
+                                                            capsys, monkeypatch):
+        import biomeval.cli
+
+        def unread(*args, **kwargs):
+            raise AssertionError("inputs were read")
+
+        monkeypatch.setattr(biomeval.cli, "load_detections", unread)
+        det_path, gt_path = two_group_files
+        out = tmp_path / "out"
+        out.write_text("", encoding="utf-8")
+        code = main(["eval-det", "--det", str(det_path), "--gt", str(gt_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output directory is a file: {out}\n"
+
     def test_rerun_is_byte_identical(self, two_group_files, tmp_path):
         det_path, gt_path = two_group_files
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -148,6 +163,7 @@ class TestEvalDet:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and len(err) < 200
+        assert not (tmp_path / "out").exists()
 
 
 GOLDEN = Path(__file__).parent / "data" / "det_golden"
@@ -218,6 +234,7 @@ class TestEvalId:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "ghost" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_embeddings_list_is_bounded(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
@@ -365,6 +382,83 @@ def test_scalar_for_a_list_config_key_exits_1_before_reading_inputs(command, key
     err = capsys.readouterr().err
     assert err == f"error: config key {key!r} must be a list, got {value!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("eval-id", {"ranks": [2.7]}),
+    ("eval-id", {"seed": 2.5}),
+    ("eval-id", {"seed": "7"}),
+    ("eval-id", {"far": [True]}),
+    ("eval-id", {"rank_cap": 2.0}),
+    ("eval-id", {"metric": "foo"}),
+    ("eval-id", {"aggregate": "median"}),
+    ("eval-id", {"format": "xml"}),
+    ("eval-det", {"box_format": "abc"}),
+    ("eval-det", {"iou": ["0.5"]}),
+    ("eval-det", {"iou": [10**400]}),
+    ("plan-batches", {"n": 2.5}),
+    ("plan-batches", {"n": "4"}),
+    ("plan-batches", {"num_batches": True}),
+    ("plan-batches", {"stride": 2.9}),
+    ("plan-batches", {"mode": "bogus"}),
+    ("plan-batches", {"selection": 3}),
+], ids=lambda v: json.dumps(v)[:30] if isinstance(v, dict) else v)
+def test_bad_config_value_exits_1_before_reading_inputs(command, config, tmp_path, capsys):
+    """A config value of the wrong JSON kind, or outside its flag's choices, fails first."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    absent = str(tmp_path / "absent")
+    inputs = {"eval-id": ["--emb", absent, "--protocol", absent],
+              "eval-det": ["--det", absent, "--gt", absent],
+              "plan-batches": ["--media", absent]}[command]
+    out = tmp_path / "out"
+    code = main([command, *inputs, "--config", str(config_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    (key,) = config
+    assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_flag_replaces_config_list(toy_protocol_files, tmp_path):
+    emb_path, protocol_path = toy_protocol_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"far": [0.01, 0.1]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                 "--config", str(config_path), "--far", "0.001", "--out", str(out)]) == 0
+    assert read_json(out / "identification_report.json")["far_targets"] == [0.001]
+    assert read_json(out / "run_manifest.json")["config"]["far_targets"] == [0.001]
+
+
+def test_integer_in_float_config_list_reads_as_float(two_group_files, tmp_path):
+    det_path, gt_path = two_group_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"iou": [1]}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["eval-det", "--det", str(det_path), "--gt", str(gt_path),
+                 "--config", str(config_path), "--out", str(out)]) == 0
+    manifest_text = (out / "run_manifest.json").read_text(encoding="utf-8")
+    assert read_json(out / "run_manifest.json")["config"]["iou_thresholds"] == [1.0]
+    assert '"iou_thresholds": [\n      1.0\n    ]' in manifest_text
+    assert list(read_json(out / "detection_report.json")["pooled"]) == ["1.0"]
+
+
+def test_config_only_run_matches_flag_run(toy_protocol_files, tmp_path):
+    emb_path, protocol_path = toy_protocol_files
+    flags = ["--emb", str(emb_path), "--protocol", str(protocol_path), "--far", "0.5",
+             "--rank", "2", "--rank", "1", "--metric", "neg_euclidean", "--aggregate", "max_score",
+             "--rank-cap", "2", "--format", "text", "--seed", "4"]
+    config = {"emb": str(emb_path), "protocol": str(protocol_path), "far": [0.5], "ranks": [2, 1],
+              "metric": "neg_euclidean", "aggregate": "max_score", "rank_cap": 2,
+              "format": "text", "seed": 4, "out": str(tmp_path / "cfg")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["eval-id", *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert main(["eval-id", "--config", str(config_path)]) == 0
+    for name in ("identification_report.json", "run_manifest.json"):
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 class TestPlanBatches:
