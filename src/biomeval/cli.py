@@ -17,9 +17,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import pickle
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
@@ -192,6 +197,8 @@ class _CommandParser(argparse.ArgumentParser):
         for action in actions:
             if getattr(given, action.dest) is None:
                 setattr(given, action.dest, config.get(action.dest, action.default))
+        if getattr(given, "seed", 0) < 0:
+            raise BiomevalError(f"seed must be a non-negative integer, got {given.seed}")
         return given, extras
 
 
@@ -207,6 +214,76 @@ def _out_dir(args) -> Path:
     return Path(args.out)
 
 
+def _child_main(call, read_fd: int, write_fd: int) -> NoReturn:
+    """The forked child: pickle call()'s outcome into the pipe, then os._exit on every path."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, call())
+        except BaseException as exc:
+            outcome = (False, exc)
+        data = pickle.dumps(outcome, protocol=5)
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextmanager
+def _in_child(call, what: str):
+    """Start call() in a forked child; yield a function that returns its result,
+    or raises the exception it raised.
+
+    The child writes nothing but its outcome (pickled into a pipe) and never
+    returns into the caller's code. Leaving the block reaps the child, killing
+    it first if its result was never taken, so an error raised in the block
+    comes before the child's. Without os.fork, call() runs when its result is
+    asked for. `what` names the work in the error for a child that dies
+    without sending a result.
+    """
+    if not hasattr(os, "fork"):
+        yield call
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking with live (BLAS) threads; the child
+        # only parses and never calls into BLAS.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        _child_main(call, read_fd, write_fd)
+    os.close(write_fd)
+    running = True
+
+    def result():
+        nonlocal running
+        data = reader.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        running = False
+        # The child exits 0 only once its whole outcome is in the pipe.
+        if code != 0:
+            ending = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise BiomevalError(f"{what}: worker process {ending} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    with open(read_fd, "rb") as reader:
+        try:
+            yield result
+        finally:
+            if running:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _cmd_eval_det(args) -> int:
     thresholds = iou_thresholds(args.iou)
     inputs = {
@@ -218,8 +295,13 @@ def _cmd_eval_det(args) -> int:
     run = RunConfig(out_dir=_out_dir(args), inputs=inputs, seed=args.seed)
     out = run.out_dir
 
-    dets = load_detections(inputs["detections"], box_format=args.box_format)
-    gts = load_ground_truth(inputs["ground_truth"], box_format=args.box_format)
+    # The ground truth is parsed in a second process while this one parses the
+    # detections; a detections fault still comes first.
+    gt_path = inputs["ground_truth"]
+    with _in_child(lambda: load_ground_truth(gt_path, box_format=args.box_format),
+                   f"reading ground truth {gt_path}") as ground_truth:
+        dets = load_detections(inputs["detections"], box_format=args.box_format)
+        gts = ground_truth()
     media_tags = None if args.media is None else load_media_index(args.media).media_tags()
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)

@@ -82,11 +82,19 @@ class AnnotationStore:
         self.offsets = np.searchsorted(row_frame[order], np.arange(len(self._frames) + 1))
         self.boxes = tuple(np.asarray(column, dtype=np.float64)[order] for column in boxes)
         self.labels = np.fromiter(labels, dtype=self.label_dtype, count=len(order))[order]
-        for array in (self.offsets, *self.boxes, self.labels):
-            array.setflags(write=False)
         self._order = order
         self._media_tags = merge_media_tags(dict.fromkeys(media_ids), media_tags or {})
         self._records = None
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for array in (self.offsets, *self.boxes, self.labels):
+            array.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled object arrays (the subject ids) come back writeable.
+        self.__dict__.update(state)
+        self._freeze()
 
     def __len__(self) -> int:
         return len(self._order)

@@ -1,4 +1,8 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -586,3 +590,164 @@ class TestConvertEmb:
         main(["convert-emb", "--emb", str(emb_path), "--format", "binary", "--out", str(first)])
         main(["convert-emb", "--emb", str(first), "--format", "binary", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGroundTruthWorker:
+    """eval-det parses the ground truth in a forked child while it parses the detections."""
+
+    BAD_DET = {"media_id": "m", "frame": 0, "x": 0, "y": 0, "w": 1, "h": 1, "score": 2}
+    GOOD_GT = {"media_id": "m", "frame": 0, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": "a"}
+
+    def _bad_gt(self, tmp_path):
+        rows = [self.GOOD_GT, dict(self.GOOD_GT, frame=1), dict(self.GOOD_GT, w=-1, subject_id="b")]
+        return write_jsonl(tmp_path / "bad_gt.jsonl", rows)
+
+    def _run(self, det_path, gt_path, out, *flags):
+        return main(["eval-det", "--det", str(det_path), "--gt", str(gt_path), "--out", str(out),
+                     *flags])
+
+    def test_detections_fault_wins_over_ground_truth_fault(self, tmp_path, capsys):
+        det_path = write_jsonl(tmp_path / "bad_det.jsonl", [self.BAD_DET])
+        out = tmp_path / "out"
+        assert self._run(det_path, self._bad_gt(tmp_path), out) == 1
+        assert capsys.readouterr().err == "error: line 1: score must lie in [0, 1], got 2\n"
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_ground_truth_fault_keeps_its_line_numbered_message(self, two_group_files, tmp_path,
+                                                                capsys):
+        det_path, _ = two_group_files
+        out = tmp_path / "out"
+        assert self._run(det_path, self._bad_gt(tmp_path), out) == 1
+        assert capsys.readouterr().err == "error: line 3: box sides must be positive, got w=-1, h=1\n"
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_success_leaves_no_child(self, two_group_files, tmp_path):
+        det_path, gt_path = two_group_files
+        assert self._run(det_path, gt_path, tmp_path / "out") == 0
+        _assert_no_child_left()
+
+    def test_detections_fault_kills_a_running_child(self, tmp_path, capsys, monkeypatch):
+        import time
+
+        import biomeval.cli
+
+        monkeypatch.setattr(biomeval.cli, "load_ground_truth", lambda *a, **k: time.sleep(60))
+        det_path = write_jsonl(tmp_path / "bad_det.jsonl", [self.BAD_DET])
+        start = time.perf_counter()
+        assert self._run(det_path, self._bad_gt(tmp_path), tmp_path / "out") == 1
+        assert time.perf_counter() - start < 30
+        assert capsys.readouterr().err == "error: line 1: score must lie in [0, 1], got 2\n"
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("die, ending", [
+        (lambda: os._exit(3), "exited with code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit-3", "sigkill"])
+    def test_child_that_dies_without_a_result_exits_1(self, two_group_files, tmp_path, capsys,
+                                                      monkeypatch, die, ending):
+        import biomeval.cli
+
+        monkeypatch.setattr(biomeval.cli, "load_ground_truth", lambda *a, **k: die())
+        det_path, gt_path = two_group_files
+        out = tmp_path / "out"
+        assert self._run(det_path, gt_path, out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: reading ground truth {gt_path}: worker process {ending} without a result\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+        _assert_no_child_left()
+
+    def test_unpicklable_result_exits_1(self, two_group_files, tmp_path, capsys, monkeypatch):
+        import biomeval.cli
+
+        monkeypatch.setattr(biomeval.cli, "load_ground_truth", lambda *a, **k: (lambda: None))
+        det_path, gt_path = two_group_files
+        assert self._run(det_path, gt_path, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: reading ground truth {gt_path}: worker process exited with code 1 without a result\n")
+        _assert_no_child_left()
+
+    def test_base_exception_in_child_reaches_the_parent(self, two_group_files, tmp_path,
+                                                        monkeypatch):
+        import biomeval.cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(biomeval.cli, "load_ground_truth", interrupted)
+        det_path, gt_path = two_group_files
+        with pytest.raises(KeyboardInterrupt):
+            self._run(det_path, gt_path, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        _assert_no_child_left()
+
+    def test_without_fork_outputs_are_identical(self, tmp_path, capsys, monkeypatch):
+        flags = ["--media", str(GOLDEN / "media.jsonl"), "--box-format", "xyxy"]
+        forked, in_order = tmp_path / "forked", tmp_path / "in_order"
+        assert self._run(GOLDEN / "detections.jsonl", GOLDEN / "ground_truth.jsonl", forked, *flags) == 0
+        forked_stdout = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert self._run(GOLDEN / "detections.jsonl", GOLDEN / "ground_truth.jsonl", in_order,
+                         *flags) == 0
+        assert capsys.readouterr().out == forked_stdout
+        for name in ("detection_report.json", "detection_summary.txt", "run_manifest.json"):
+            assert (forked / name).read_bytes() == (in_order / name).read_bytes(), name
+
+    def test_without_fork_detections_fault_still_wins(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        det_path = write_jsonl(tmp_path / "bad_det.jsonl", [self.BAD_DET])
+        assert self._run(det_path, self._bad_gt(tmp_path), tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: line 1: score must lie in [0, 1], got 2\n"
+
+    def test_module_run_writes_the_summary_once_and_nothing_to_stderr(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "biomeval.cli", "eval-det", "--det", str(GOLDEN / "detections.jsonl"),
+             "--gt", str(GOLDEN / "ground_truth.jsonl"), "--media", str(GOLDEN / "media.jsonl"),
+             "--box-format", "xywh", "--out", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert done.stdout == (GOLDEN / "xywh" / "detection_summary.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command, source", [
+    ("eval-det", "flag"), ("eval-det", "config"), ("eval-id", "flag"), ("eval-id", "config"),
+    ("plan-batches", "flag"), ("plan-batches", "config"), ("check-losses", "flag"),
+])
+def test_negative_seed_exits_1_before_reading_inputs(command, source, tmp_path, capsys,
+                                                     monkeypatch):
+    import biomeval.cli
+
+    def unread(*args, **kwargs):
+        raise AssertionError("inputs were read")
+
+    for name in ("load_detections", "load_ground_truth", "load_embeddings", "load_protocol",
+                 "load_media_index", "run_self_check"):
+        monkeypatch.setattr(biomeval.cli, name, unread)
+    absent = str(tmp_path / "absent")
+    out = tmp_path / "out"
+    argv = {"eval-det": ["--det", absent, "--gt", absent, "--out", str(out)],
+            "eval-id": ["--emb", absent, "--protocol", absent, "--out", str(out)],
+            "plan-batches": ["--media", absent, "--out", str(out)],
+            "check-losses": []}[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        argv += ["--config", str(config_path)]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()

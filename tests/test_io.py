@@ -251,6 +251,18 @@ class TestAnnotationStore:
         assert store.boxes[0].tolist() == [1.5, 0.0, 3.0]
         assert not store.boxes[0].flags.writeable
 
+    def test_pickled_store_is_equal_and_read_only(self, tmp_path):
+        import pickle
+
+        rows = [{"media_id": "m", "frame": f, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": f"s{f}"}
+                for f in (2, 0, 1)]
+        store = load_ground_truth(write_jsonl(tmp_path / "g.jsonl", rows))
+        copy = pickle.loads(pickle.dumps(store, protocol=5))
+        assert copy == store and copy.media_tags == store.media_tags
+        assert copy.frames() == store.frames()
+        for array in (copy.offsets, *copy.boxes, copy.labels):
+            assert not array.flags.writeable
+
     def test_duplicate_ground_truth_message(self, tmp_path):
         rows = [{"media_id": "m", "frame": 2, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": "s"}] * 2
         with pytest.raises(ValidationError, match="^duplicate ground truth for media 'm' frame 2 subject 's'$"):
