@@ -9,7 +9,8 @@ is read; a flag given on the command line replaces a config list. Every
 file-writing run also writes run_manifest.json with the resolved
 configuration, seed, input digests, and tool version; reruns on identical
 inputs produce identical bytes. Floats in reports carry 6 significant
-digits.
+digits. One writer (_write_run) owns the write order: each output under a
+temporary name, moved into place, the manifest last, the summary last.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def round6(value: float) -> float:
 class RunConfig:
     """Resolved configuration for one evaluation run.
 
-    Input paths must exist when the config is built. Each command creates
-    the output directory just before it writes its first output, so a run
-    that fails on its inputs leaves no directory behind.
+    Input paths must exist when the config is built. The command then reads
+    its inputs and hands its outputs to _write_run, which alone creates the
+    output directory, so a run that fails on its inputs leaves no directory
+    behind.
     """
 
     out_dir: Path
@@ -110,22 +112,59 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_floats(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_run_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: list[str]) -> None:
-    manifest = {
+@dataclass(frozen=True)
+class RunOutputs:
+    """What a file-writing command produced: its files' bytes by name, in write
+    order, the manifest's command and config, and the summary for stdout."""
+
+    run: RunConfig
+    command: str
+    config: dict
+    artefacts: dict[str, bytes]
+    summary: str
+
+
+def _replace(path: Path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then move it onto path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_run(outputs: RunOutputs) -> None:
+    """Write a run's outputs so that a directory holding run_manifest.json holds
+    every output of the run that wrote it.
+
+    An earlier run's manifest is removed first, each artefact is moved into
+    place whole, the new manifest follows them, and the summary goes to
+    stdout last (main flushes it). A run that fails part-way leaves no
+    manifest and no temporary file.
+    """
+    run = outputs.run
+    manifest = _json_bytes({
         "tool": "biomeval",
         "version": __version__,
-        "command": command,
-        "config": config,
-        "input_digests": {name: f"sha256:{_sha256(p)}" for name, p in inputs.items()},
-        "outputs": sorted(outputs),
-    }
-    _write_json(out_dir / "run_manifest.json", manifest)
+        "command": outputs.command,
+        "config": outputs.config,
+        "input_digests": {name: f"sha256:{_sha256(p)}" for name, p in run.inputs.items()},
+        "outputs": sorted(outputs.artefacts),
+    })
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = run.out_dir / "run_manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    for name, data in outputs.artefacts.items():
+        _replace(run.out_dir / name, data)
+    _replace(manifest_path, manifest)
+    sys.stdout.write(outputs.summary)
 
 
 # The JSON kind of a config value, by its flag's argparse type: the Python
@@ -284,7 +323,7 @@ def _in_child(call, what: str):
                 os.waitpid(pid, 0)
 
 
-def _cmd_eval_det(args) -> int:
+def _cmd_eval_det(args) -> RunOutputs:
     thresholds = iou_thresholds(args.iou)
     inputs = {
         "detections": _required(args.det, "--det"),
@@ -293,7 +332,6 @@ def _cmd_eval_det(args) -> int:
     if args.media is not None:
         inputs["media"] = args.media
     run = RunConfig(out_dir=_out_dir(args), inputs=inputs, seed=args.seed)
-    out = run.out_dir
 
     # The ground truth is parsed in a second process while this one parses the
     # detections; a detections fault still comes first.
@@ -305,8 +343,6 @@ def _cmd_eval_det(args) -> int:
     media_tags = None if args.media is None else load_media_index(args.media).media_tags()
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "detection_report.json", report.to_dict())
 
     lines = [f"detection evaluation at IoU thresholds {list(thresholds)}"]
     for tag in report.groups:
@@ -323,17 +359,18 @@ def _cmd_eval_det(args) -> int:
             f"F1={round6(scores.f1)} (tp={scores.counts.tp} fp={scores.counts.fp} fn={scores.counts.fn})"
         )
     summary = "\n".join(lines) + "\n"
-    (out / "detection_summary.txt").write_text(summary, encoding="utf-8")
-    print(summary, end="")
-
-    run_config = {"iou_thresholds": list(thresholds), "box_format": args.box_format, "seed": run.seed}
-    _write_run_manifest(
-        out, "eval-det", run_config, inputs, ["detection_report.json", "detection_summary.txt"]
+    return RunOutputs(
+        run, "eval-det",
+        config={"iou_thresholds": list(thresholds), "box_format": args.box_format, "seed": run.seed},
+        artefacts={
+            "detection_report.json": _json_bytes(report.to_dict()),
+            "detection_summary.txt": summary.encode("utf-8"),
+        },
+        summary=summary,
     )
-    return 0
 
 
-def _cmd_eval_id(args) -> int:
+def _cmd_eval_id(args) -> RunOutputs:
     rank_cap, ranks = args.rank_cap, args.ranks
     if rank_cap is not None and rank_cap < 1:
         raise BiomevalError(f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}")
@@ -350,7 +387,6 @@ def _cmd_eval_id(args) -> int:
     )
     metric, aggregate = args.metric, args.aggregate
     emb_format = args.format or sniff_embedding_format(args.emb)
-    out = run.out_dir
 
     embeddings = load_embeddings(args.emb, format=emb_format)
     manifest = load_protocol(args.protocol)
@@ -369,13 +405,12 @@ def _cmd_eval_id(args) -> int:
     roc = evaluation.roc_curve()
     open_set = evaluation.fnir_fpir(rank_cap=rank_cap) if evaluation.non_mate_rows.size else None
 
-    outputs = ["identification_report.json", "cmc.csv", "roc.csv"]
-    out.mkdir(parents=True, exist_ok=True)
-    cmc_curve.to_csv(out / "cmc.csv", columns=("rank", "accuracy"))
-    roc.to_csv(out / "roc.csv", columns=("far", "tar", "threshold"))
+    artefacts = {
+        "cmc.csv": cmc_curve.to_csv(columns=("rank", "accuracy")).encode("utf-8"),
+        "roc.csv": roc.to_csv(columns=("far", "tar", "threshold")).encode("utf-8"),
+    }
     if open_set is not None:
-        open_set.to_csv(out / "openset.csv", columns=("fpir", "fnir", "threshold"))
-        outputs.append("openset.csv")
+        artefacts["openset.csv"] = open_set.to_csv(columns=("fpir", "fnir", "threshold")).encode("utf-8")
 
     report = {
         "ranks": list(ranks),
@@ -392,17 +427,15 @@ def _cmd_eval_id(args) -> int:
         "metric": metric,
         "aggregation": aggregate,
         "rank_cap": rank_cap,
-        "open_set_curve": "openset.csv" in outputs,
+        "open_set_curve": "openset.csv" in artefacts,
     }
-    _write_json(out / "identification_report.json", report)
-    print(
+    lines = [
         f"identification over {len(manifest.probes)} probes, {gallery_size} gallery subjects "
         f"({manifest.distractor_count} distractors)"
-    )
-    for k in ranks:
-        print(f"  rank-{k} accuracy: {round6(rank_accuracy[str(k)])}")
-    for p in operating_points:
-        print(f"  TAR@FAR<={p.far_target:g}: {round6(p.tar)} (threshold {round6(p.threshold)})")
+    ]
+    lines += [f"  rank-{k} accuracy: {round6(rank_accuracy[str(k)])}" for k in ranks]
+    lines += [f"  TAR@FAR<={p.far_target:g}: {round6(p.tar)} (threshold {round6(p.threshold)})"
+              for p in operating_points]
 
     run_config = {
         "far_targets": list(far_targets),
@@ -413,11 +446,12 @@ def _cmd_eval_id(args) -> int:
         "embedding_format": emb_format,
         "seed": run.seed,
     }
-    _write_run_manifest(out, "eval-id", run_config, run.inputs, outputs)
-    return 0
+    artefacts["identification_report.json"] = _json_bytes(report)
+    return RunOutputs(run, "eval-id", config=run_config, artefacts=artefacts,
+                      summary="\n".join(lines) + "\n")
 
 
-def _cmd_plan_batches(args) -> int:
+def _cmd_plan_batches(args) -> RunOutputs:
     run = RunConfig(
         out_dir=_out_dir(args),
         inputs={"media": _required(args.media, "--media")},
@@ -425,7 +459,6 @@ def _cmd_plan_batches(args) -> int:
     )
     media_path = run.inputs["media"]
     seed = run.seed
-    out = run.out_dir
 
     index = load_media_index(media_path)
     plan = pk_batches(index.media_by_subject(), n=args.n, k=args.k, num_batches=args.num_batches, seed=seed)
@@ -461,11 +494,12 @@ def _cmd_plan_batches(args) -> int:
         weights = dataset_balanced_weights(index.media_by_tag())
         payload["dataset_weights"] = {tag: weights.per_dataset[tag] for tag in sorted(weights.per_dataset)}
         payload["sampled_media"] = sample_media(weights, args.sample_count, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "plan.json", payload)
-    print(f"wrote plan for {args.num_batches} batch(es) of {plan.batch_size} media to {out / 'plan.json'}")
-    _write_run_manifest(out, "plan-batches", run_config, {"media": media_path}, ["plan.json"])
-    return 0
+    return RunOutputs(
+        run, "plan-batches", config=run_config,
+        artefacts={"plan.json": _json_bytes(payload)},
+        summary=f"wrote plan for {args.num_batches} batch(es) of {plan.batch_size} media to "
+                f"{run.out_dir / 'plan.json'}\n",
+    )
 
 
 def _cmd_check_losses(args) -> int:
@@ -578,7 +612,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, RunOutputs):
+            _write_run(result)
+            result = 0
+        sys.stdout.flush()
+        return result
+    except BrokenPipeError as exc:
+        # stdout's reader has gone. Point fd 1 at devnull so the interpreter's
+        # flush at exit cannot raise again (the Python docs' SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (BiomevalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

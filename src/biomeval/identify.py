@@ -10,6 +10,7 @@ interpolation is used, so every reported rate is exactly reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -305,25 +306,26 @@ class Curve:
     def y(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.points)
 
-    def to_csv(self, path, columns: tuple[str, ...]) -> None:
-        """Write a two-line header (labels, then column names) and the points.
+    def to_csv(self, columns: tuple[str, ...]) -> str:
+        """CSV text: a two-line header (labels, then column names), then the points.
 
-        Floats are printed with 6 significant digits.
+        Floats are printed with 6 significant digits; rows end in csv's "\\r\\n".
         """
         labels = [self.x_label, self.y_label]
         if self.thresholds is not None:
             labels.append("decision threshold")
         if len(columns) != len(labels):
             raise ValueError(f"expected {len(labels)} column names, got {len(columns)}")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(labels)
-            writer.writerow(columns)
-            for i, (px, py) in enumerate(self.points):
-                row = [f"{px:.6g}", f"{py:.6g}"]
-                if self.thresholds is not None:
-                    row.append(f"{self.thresholds[i]:.6g}")
-                writer.writerow(row)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(labels)
+        writer.writerow(columns)
+        for i, (px, py) in enumerate(self.points):
+            row = [f"{px:.6g}", f"{py:.6g}"]
+            if self.thresholds is not None:
+                row.append(f"{self.thresholds[i]:.6g}")
+            writer.writerow(row)
+        return text.getvalue()
 
 
 @dataclass(frozen=True)

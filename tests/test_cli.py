@@ -751,3 +751,135 @@ def test_negative_seed_exits_1_before_reading_inputs(command, source, tmp_path, 
     assert main([command, *argv]) == 1
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
     assert not out.exists()
+
+
+def _run_argv(command, tmp_path):
+    """Golden-input arguments (a generated media index for plan-batches), without --out."""
+    if command == "eval-det":
+        return ["eval-det", "--det", str(GOLDEN / "detections.jsonl"),
+                "--gt", str(GOLDEN / "ground_truth.jsonl"), "--media", str(GOLDEN / "media.jsonl")]
+    if command == "eval-id":
+        return ["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"),
+                "--protocol", str(ID_GOLDEN / "protocol.json"), "--aggregate", "max_score"]
+    media = write_jsonl(tmp_path / "media.jsonl", media_index_rows())
+    return ["plan-batches", "--media", str(media), "--n", "3", "--k", "2", "--sample-count", "4"]
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _module_run_with_closed_stdout(argv, unbuffered):
+    """Run `python -m biomeval.cli` with stdout a pipe whose read end is closed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        return subprocess.run([sys.executable, "-m", "biomeval.cli", *argv], stdout=write_fd,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_fd)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["eval-det", "eval-id", "plan-batches"])
+def test_closed_stdout_still_writes_every_output(command, unbuffered, tmp_path, capsys):
+    argv = _run_argv(command, tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "normal")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "closed"
+    done = _module_run_with_closed_stdout([*argv, "--out", str(out)], unbuffered)
+    assert done.returncode == 1
+    assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+    assert "run_manifest.json" in _files(out)
+    assert _files(out) == _files(tmp_path / "normal")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check-losses", "convert-emb"])
+def test_closed_stdout_ends_other_commands_the_same_way(command, unbuffered, tmp_path):
+    argv = {"check-losses": ["check-losses"],
+            "convert-emb": ["convert-emb", "--emb", str(ID_GOLDEN / "embeddings.bemb"),
+                            "--format", "text", "--out", str(tmp_path / "emb.jsonl")]}[command]
+    done = _module_run_with_closed_stdout(argv, unbuffered)
+    assert done.returncode == 1
+    assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+class TestRunWriter:
+    """One writer puts every output in place under a temporary name, the manifest last, the summary last."""
+
+    EVAL_DET_OUTPUTS = {"detection_report.json", "detection_summary.txt", "run_manifest.json"}
+
+    def _fail_second_replace(self, monkeypatch):
+        real_replace = os.replace
+        moved = []
+
+        def replace(src, dst):
+            moved.append(Path(dst).name)
+            if len(moved) == 2:
+                raise OSError("cannot move the second output into place")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return moved
+
+    def test_failed_second_move_leaves_no_manifest_and_no_temporary_file(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        moved = self._fail_second_replace(monkeypatch)
+        out = tmp_path / "out"
+        assert main([*_run_argv("eval-det", tmp_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot move the second output into place\n"
+        assert captured.out == ""
+        assert moved == ["detection_report.json", "detection_summary.txt"]
+        assert sorted(p.name for p in out.iterdir()) == ["detection_report.json"]
+
+    def test_failed_run_over_a_complete_run_removes_its_manifest(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        argv = [*_run_argv("eval-det", tmp_path), "--out", str(out)]
+        assert main(argv) == 0
+        assert {p.name for p in out.iterdir()} == self.EVAL_DET_OUTPUTS
+        capsys.readouterr()
+        self._fail_second_replace(monkeypatch)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot move the second output into place\n"
+        assert captured.out == ""
+        assert {p.name for p in out.iterdir()} == self.EVAL_DET_OUTPUTS - {"run_manifest.json"}
+
+    @pytest.mark.parametrize("command", ["eval-det", "eval-id", "plan-batches"])
+    def test_manifest_moves_last_and_stdout_follows_it(self, command, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = [*_run_argv(command, tmp_path), "--out", str(out)]
+        assert main(argv) == 0
+        real_replace = os.replace
+        events = []
+
+        def replace(src, dst):
+            if not events:
+                events.append(("manifest present", (out / "run_manifest.json").exists()))
+            events.append(("moved", Path(dst).name))
+            return real_replace(src, dst)
+
+        class Stdout:
+            def write(self, text):
+                events.append(("stdout", text))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(argv) == 0
+        assert events[0] == ("manifest present", False)
+        assert events[-2] == ("moved", "run_manifest.json")
+        assert events[-1][0] == "stdout"
+        moves = [name for kind, name in events[1:-1]]
+        assert [kind for kind, _ in events[1:-1]] == ["moved"] * len(moves)
+        assert sorted(moves) == sorted(p.name for p in out.iterdir())

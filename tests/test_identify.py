@@ -615,12 +615,12 @@ class TestCurve:
         with pytest.raises(ValidationError):
             Curve(points=((0.0, 0.0), (0.0, 1.0)), x_label="x", y_label="y")
 
-    def test_csv_two_line_header(self, tmp_path):
+    def test_csv_two_line_header(self):
         curve = Curve(points=((1.0, 0.5), (2.0, 1.0)), x_label="rank",
                       y_label="cumulative match accuracy")
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path, columns=("rank", "accuracy"))
-        lines = path.read_text().splitlines()
+        text = curve.to_csv(columns=("rank", "accuracy"))
+        assert text.endswith("\r\n")
+        lines = text.splitlines()
         assert lines[0] == "rank,cumulative match accuracy"
         assert lines[1] == "rank,accuracy"
         assert lines[2] == "1,0.5"
