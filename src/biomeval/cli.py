@@ -29,7 +29,7 @@ from typing import NoReturn
 
 from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
-from .errors import BiomevalError, brief, preview
+from .errors import BiomevalError, brief, json_error, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
@@ -208,7 +208,10 @@ def _load_config_file(path, actions) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise BiomevalError(f"config file {path}: {json_error(exc)}") from None
     if not isinstance(doc, dict):
         raise BiomevalError("config file must hold a JSON object")
     by_key = {action.dest: action for action in actions}
@@ -377,6 +380,10 @@ def _cmd_eval_id(args) -> RunOutputs:
     far_targets = tuple(far_target(f) for f in args.far)
     if any(k < 1 for k in ranks):
         raise BiomevalError(f"ranks must be positive, got {list(ranks)}")
+    # Like IoU thresholds, no rank or FAR target twice (0.01 and 1e-2 are one target).
+    for name, values in (("ranks", ranks), ("FAR targets", far_targets)):
+        if len(set(values)) != len(values):
+            raise BiomevalError(f"{name} must not repeat, got {brief(list(values))}")
     run = RunConfig(
         out_dir=_out_dir(args),
         inputs={

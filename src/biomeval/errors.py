@@ -28,6 +28,11 @@ def brief(value, limit: int = 40) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
+def json_error(exc) -> str:
+    """A json.JSONDecodeError's message with the line and column it names."""
+    return f"invalid JSON ({exc.msg}) at line {exc.lineno} column {exc.colno}"
+
+
 class BiomevalError(Exception):
     """Base class for errors raised by this package."""
 

@@ -211,17 +211,17 @@ def _subject_maxima(starts: np.ndarray, n_rows: int):
 
 
 def score(
-    probes,
+    probes: np.ndarray,
     gallery: Gallery,
     metric: str = "cosine",
-    probe_ids: Sequence[str] | None = None,
+    *,
+    probe_ids: Sequence[str],
 ) -> ScoreMatrix:
     """Similarity of every probe to every gallery subject.
 
-    `probes` is an EmbeddingStore (rows keyed by media id) or an (P, d)
-    array with explicit probe_ids. Cosine scores normalize each probe and
-    land in [-1, 1]; neg_euclidean scores are negated distances to the
-    gallery rows.
+    `probes` is a (P, d) array whose row i is the probe probe_ids[i].
+    Cosine scores normalize each probe and land in [-1, 1]; neg_euclidean
+    scores are negated distances to the gallery rows.
 
     Each probe chunk is multiplied by all of gallery.rows in one product
     of at most _SCORE_CHUNK x len(gallery) cells, so a mean gallery (one
@@ -234,14 +234,7 @@ def score(
     """
     if metric not in SCORE_METRICS:
         raise ValueError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
-    if isinstance(probes, EmbeddingStore):
-        if probe_ids is not None:
-            raise ValueError("probe_ids is only accepted with a plain probe array")
-        ids, x = probes.media_ids, probes.matrix
-    else:
-        if probe_ids is None:
-            raise ValueError("probe_ids is required when probes is a plain array")
-        ids, x = tuple(probe_ids), np.asarray(probes, dtype=np.float64)
+    ids, x = tuple(probe_ids), np.asarray(probes, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(ids):
         raise ValueError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
     if not len(gallery):

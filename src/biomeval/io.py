@@ -4,6 +4,9 @@ Formats:
   - detections / ground truth: JSON lines, one object per line
   - embeddings: JSON lines (text) or the "BEMB" little-endian binary layout
   - protocol manifest and media index: JSON documents / JSON lines
+
+Every field is read by one rule (_field): ids and tags are JSON strings, and a
+value of another JSON type is an error that names its line or protocol entry.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import FormatError, ParseError, ValidationError, brief
+from .errors import FormatError, ParseError, ValidationError, brief, json_error
 from .records import (
     BoundingBox,
     EmbeddingRecord,
@@ -39,41 +42,113 @@ BOX_FORMATS = ("xywh", "xyxy")
 _scan_json = json.JSONDecoder().scan_once
 
 
+def _jsonl_object(line: str, lineno: int) -> dict | None:
+    """One line's JSON object, or None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    # The decoder's scanner is json.loads without its per-call overhead;
+    # json.loads re-reads a line the scanner rejects, for its message.
+    try:
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", line=lineno)
+    return obj
+
+
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) for every non-blank line; line numbers are 1-based."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_number, object) for every non-blank line; line numbers are 1-based.
+
+    A byte that is not UTF-8 fails its line, after every fault on an earlier line.
+    """
+    done = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for done, line in enumerate(fh, start=1):
+                obj = _jsonl_object(line, done)
+                if obj is not None:
+                    yield done, obj
+        return
+    except UnicodeDecodeError:
+        pass
+    # The decoder fails a whole block at once, possibly before lines it holds were
+    # read. Read on from the last line read, with each bad byte as a lone surrogate.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if lineno <= done:
                 continue
-            # The decoder's scanner is json.loads without its per-call overhead;
-            # json.loads re-reads a line the scanner rejects, for its message.
+            raw = line.encode("utf-8", "surrogateescape")
             try:
-                obj, end = _scan_json(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            yield lineno, obj
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = f"{raw[exc.start]:#04x} at byte {exc.start + 1} of the line"
+                raise ParseError(f"invalid UTF-8 ({exc.reason}: {where})", line=lineno) from None
+            obj = _jsonl_object(line, lineno)
+            if obj is not None:
+                yield lineno, obj
 
 
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj:
-        raise ParseError(f"missing key {key!r}", line=lineno)
-    return obj[key]
+# Field kinds, by the rule every loader applies: a check of the JSON value that
+# returns what is wrong with it, or None.
+def _string(value) -> str | None:
+    return None if type(value) is str else "must be a string"
 
 
-def _number(key: str, value, lineno: int):
+def _optional_string(value) -> str | None:
+    return None if value is None or type(value) is str else "must be a string or null"
+
+
+def _flag(value) -> str | None:
+    return None if type(value) is bool else "must be true or false"
+
+
+def _list(value) -> str | None:
+    return None if type(value) is list else "must be a list"
+
+
+def _strings(value) -> str | None:
+    if type(value) is list and value and all(type(item) is str for item in value):
+        return None
+    return "must be a non-empty list of strings"
+
+
+def _number(value) -> str | None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"key {key!r} must be a number, got {brief(value)}", line=lineno)
+        return "must be a number"
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ParseError(f"key {key!r} is beyond the float range, got {brief(value)}", line=lineno)
-    return value
+        return "is beyond the float range"
+    return None
+
+
+_MISSING = object()
+
+
+def _field(obj: dict, key: str, where: int | str, kind=None, default=_MISSING):
+    """obj[key], checked by `kind` (any value when None); `default` stands in for an
+    absent key. `where` is a JSONL line number or a protocol entry such as
+    "gallery[12]", and the error for a missing or mistyped value names it."""
+    value = obj.get(key, default)
+    if value is _MISSING:
+        if isinstance(where, int):
+            raise ParseError(f"missing key {key!r}", line=where)
+        raise ParseError(f"{where} is missing key {key!r}")
+    if kind is None or kind(value) is None:
+        return value
+    raise _mistyped(value, key, where, kind)
+
+
+def _mistyped(value, key: str, where: int | str, kind) -> ParseError:
+    """The error for a value that `kind` rejects, naming `where` and the key."""
+    if isinstance(where, int):
+        return ParseError(f"key {key!r} {kind(value)}, got {brief(value)}", line=where)
+    return ParseError(f"{where}.{key} {kind(value)}, got {brief(value)}")
 
 
 def _integral(value):
@@ -84,29 +159,36 @@ def _integral(value):
 
 def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str):
     """One line as a record, checked field by field; a fault raises with the line number."""
+    label_kind = _string if store_type.label_dtype is object else _number
     try:
-        media_id = str(_require(obj, "media_id", lineno))
-        frame = _integral(_require(obj, "frame", lineno))
-        values = [_require(obj, k, lineno) for k in ("x", "y", "w", "h")]
-        values = [_number(k, v, lineno) for k, v in zip(("x", "y", "w", "h"), values)]
-        # Under "xyxy" the four numbers are corners (x1, y1, x2, y2).
-        box = BoundingBox(*values) if box_format == "xywh" else BoundingBox.from_corners(*values)
-        label = _require(obj, store_type.label, lineno)
-        label = str(label) if store_type.label_dtype is object else _number(store_type.label, label, lineno)
-        return store_type.record_type(media_id, frame, box, label)
+        media_id = _field(obj, "media_id", lineno, _string)
+        frame = _integral(_field(obj, "frame", lineno))
+        values = [_field(obj, k, lineno, _number) for k in ("x", "y", "w", "h")]
+        # Under "xyxy" the four numbers are corners (x1, y1, x2, y2), differenced
+        # in float64 as the column check does.
+        box = (BoundingBox(*values) if box_format == "xywh"
+               else BoundingBox.from_corners(*map(float, values)))
+        label = _field(obj, store_type.label, lineno, label_kind)
+        record = store_type.record_type(media_id, frame, box, label)
+        _field(obj, "dataset_tag", lineno, _optional_string, None)
+        return record
     except ValidationError as exc:
         raise ValidationError(f"line {lineno}: {exc}") from None
 
 
-def _checked_columns(store_type: type, box_format: str, media, frames, box, labels):
-    """The (4, n) x/y/w/h array and the labels if every row is a valid record of plain
-    strings, ints and floats, else None."""
+def _checked_columns(store_type: type, box_format: str, media, frames, box, labels, tags):
+    """The frames, the (4, n) x/y/w/h array and the labels if every row is a valid
+    record of plain strings, ints and floats, else None. Integral float frames
+    read as ints."""
     def only(column, *kinds) -> bool:
         return set(map(type, column)) <= set(kinds)
 
     subjects = store_type.label_dtype is object
+    if float in set(map(type, frames)):
+        frames = list(map(_integral, frames))
     if not (only(media, str) and only(frames, int) and all(only(c, int, float) for c in box)
-            and only(labels, *((str,) if subjects else (int, float)))):
+            and only(labels, *((str,) if subjects else (int, float)))
+            and only(tags, str, type(None))):
         return None
     if frames and min(frames) < 0:
         return None
@@ -121,14 +203,14 @@ def _checked_columns(store_type: type, box_format: str, media, frames, box, labe
         ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0)
         if not subjects:
             ok &= (labels >= 0) & (labels <= 1)
-    return (np.stack([x, y, w, h]), labels) if ok.all() else None
+    return (frames, np.stack([x, y, w, h]), labels) if ok.all() else None
 
 
 def _load_annotations(path: str | Path, box_format: str, store_type: type):
     """Detections or ground truth, read into columns that are checked at once.
 
     If that check fails, the file is read again line by line as records
-    (_annotation_record), so a fault raises the error of its first line.
+    (_annotation_record), which raises the error of its first faulty line.
     """
     if box_format not in BOX_FORMATS:
         raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
@@ -145,18 +227,14 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
         pass
     else:
         media, frames, *box, labels, tags = columns
-        checked = _checked_columns(store_type, box_format, media, frames, box, labels)
+        checked = _checked_columns(store_type, box_format, media, frames, box, labels, tags)
     if checked is None:
-        records, media, tags = [], [], []
         for lineno, obj in _iter_jsonl(path):
-            records.append(_annotation_record(store_type, obj, lineno, box_format))
-            media.append(records[-1].media_id)
-            tags.append(obj.get("dataset_tag"))
-    first_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
-    media_tags = {m: None if tag is None else str(tag) for m, tag in first_tags.items()}
-    if checked is None:
-        return store_type(records, media_tags=media_tags)
-    return store_type.from_columns(media, frames, *checked, media_tags=media_tags)
+            _annotation_record(store_type, obj, lineno, box_format)
+        # The column check accepts exactly the files whose every line is a valid record.
+        raise AssertionError(f"{path}: the column check failed a file with no faulty line")
+    media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
+    return store_type.from_columns(media, *checked, media_tags=media_tags)
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:
@@ -189,17 +267,16 @@ def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
 def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
     records = []
     for lineno, obj in _iter_jsonl(path):
-        vector = _require(obj, "vector", lineno)
+        vector = _field(obj, "vector", lineno)
         if not isinstance(vector, list):
             raise ParseError("key 'vector' must be an array of numbers", line=lineno)
         if set(map(type, vector)) - {float}:  # ints to widen, or a component to reject
             for i, value in enumerate(vector):
-                _number(f"vector[{i}]", value, lineno)
+                if _number(value) is not None:
+                    raise _mistyped(value, f"vector[{i}]", lineno, _number)
+        media_id = _field(obj, "media_id", lineno, _string)
         try:
-            rec = EmbeddingRecord(
-                media_id=str(_require(obj, "media_id", lineno)),
-                vector=tuple(map(float, vector)),
-            )
+            rec = EmbeddingRecord(media_id=media_id, vector=tuple(map(float, vector)))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
         records.append(rec)
@@ -289,55 +366,57 @@ def sniff_embedding_format(path: str | Path) -> str:
         return "binary" if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC else "text"
 
 
+def _entries(doc: dict, section: str) -> Iterator[tuple[str, dict]]:
+    """(name, entry) for each object of the protocol's `section` list, named as gallery[12]."""
+    for i, entry in enumerate(_field(doc, section, "protocol", _list)):
+        where = f"{section}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where} must be a JSON object, got {brief(entry)}")
+        yield where, entry
+
+
 def load_protocol(path: str | Path) -> ProtocolManifest:
-    """Load a protocol manifest from a single JSON document."""
+    """Load a protocol manifest from a single JSON document.
+
+    Ids are strings, media_ids a non-empty list of strings, distractor true or
+    false (false when absent) and true_subject_id a string or null (null when
+    absent); an error names the faulty entry, such as gallery[12].
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})") from None
-    if not isinstance(doc, dict) or "gallery" not in doc or "probes" not in doc:
-        raise ParseError("protocol document needs 'gallery' and 'probes' keys")
-    gallery = []
-    for i, entry in enumerate(doc["gallery"]):
-        if not isinstance(entry, dict) or "subject_id" not in entry or "media_ids" not in entry:
-            raise ParseError(f"gallery entry {i} needs 'subject_id' and 'media_ids'")
-        gallery.append(
-            GalleryEntry(
-                subject_id=str(entry["subject_id"]),
-                media_ids=tuple(str(m) for m in entry["media_ids"]),
-                distractor=bool(entry.get("distractor", False)),
-            )
+            raise ParseError(json_error(exc)) from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"protocol must be a JSON object, got {brief(doc)}")
+    gallery = tuple(
+        GalleryEntry(
+            subject_id=_field(entry, "subject_id", where, _string),
+            media_ids=tuple(_field(entry, "media_ids", where, _strings)),
+            distractor=_field(entry, "distractor", where, _flag, False),
         )
-    probes = []
-    for i, entry in enumerate(doc["probes"]):
-        if not isinstance(entry, dict) or "probe_id" not in entry or "media_id" not in entry:
-            raise ParseError(f"probe entry {i} needs 'probe_id' and 'media_id'")
-        true_subject = entry.get("true_subject_id")
-        probes.append(
-            ProbeEntry(
-                probe_id=str(entry["probe_id"]),
-                media_id=str(entry["media_id"]),
-                true_subject_id=None if true_subject is None else str(true_subject),
-            )
+        for where, entry in _entries(doc, "gallery")
+    )
+    probes = tuple(
+        ProbeEntry(
+            probe_id=_field(entry, "probe_id", where, _string),
+            media_id=_field(entry, "media_id", where, _string),
+            true_subject_id=_field(entry, "true_subject_id", where, _optional_string, None),
         )
-    return ProtocolManifest(gallery=tuple(gallery), probes=tuple(probes))
+        for where, entry in _entries(doc, "probes")
+    )
+    return ProtocolManifest(gallery=gallery, probes=probes)
 
 
 def load_media_index(path: str | Path) -> MediaIndex:
     """Load a media-index JSONL file (media_id, subject_id, dataset_tag, modality, frame_count)."""
     records = []
     for lineno, obj in _iter_jsonl(path):
+        keys = ("media_id", "subject_id", "dataset_tag", "modality")
+        media_id, subject_id, dataset_tag, modality = (_field(obj, k, lineno, _string) for k in keys)
+        frame_count = _integral(_field(obj, "frame_count", lineno))
         try:
-            records.append(
-                MediaRecord(
-                    media_id=str(_require(obj, "media_id", lineno)),
-                    subject_id=str(_require(obj, "subject_id", lineno)),
-                    dataset_tag=str(_require(obj, "dataset_tag", lineno)),
-                    modality=str(_require(obj, "modality", lineno)),
-                    frame_count=_integral(_require(obj, "frame_count", lineno)),
-                )
-            )
+            records.append(MediaRecord(media_id, subject_id, dataset_tag, modality, frame_count))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
     return MediaIndex(records)

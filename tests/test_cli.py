@@ -170,6 +170,52 @@ class TestEvalDet:
         assert not (tmp_path / "out").exists()
 
 
+def _mistyped_protocol(protocol_path, edit):
+    protocol = read_json(protocol_path)
+    section, i, key, value = edit
+    protocol[section][i][key] = value
+    protocol_path.write_text(json.dumps(protocol), encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (("gallery", 0, "distractor", "false"), "gallery[0].distractor must be true or false, got 'false'"),
+    (("gallery", 1, "media_ids", "m12"), "gallery[1].media_ids must be a non-empty list of strings, got 'm12'"),
+    (("gallery", 1, "subject_id", None), "gallery[1].subject_id must be a string, got None"),
+    (("probes", 0, "true_subject_id", 7), "probes[0].true_subject_id must be a string or null, got 7"),
+], ids=["distractor-string", "media-ids-string", "subject-null", "true-subject-number"])
+def test_mistyped_protocol_field_exits_1_naming_the_entry(toy_protocol_files, tmp_path, capsys,
+                                                          edit, expected):
+    emb_path, protocol_path = toy_protocol_files
+    _mistyped_protocol(protocol_path, edit)
+    out = tmp_path / "out"
+    code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path), "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("file, key, value, expected", [
+    ("det", "media_id", 7, "line 2: key 'media_id' must be a string, got 7"),
+    ("det", "dataset_tag", 3, "line 2: key 'dataset_tag' must be a string or null, got 3"),
+    ("gt", "subject_id", 7, "line 2: key 'subject_id' must be a string, got 7"),
+    ("media", "subject_id", 7, "line 2: key 'subject_id' must be a string, got 7"),
+], ids=["det-media-id", "det-tag", "gt-subject", "media-subject"])
+def test_mistyped_line_field_exits_1_naming_the_line(two_group_files, tmp_path, capsys,
+                                                     file, key, value, expected):
+    det_path, gt_path = two_group_files
+    media_rows = [{"media_id": m, "subject_id": "s", "dataset_tag": tag, "modality": "video",
+                   "frame_count": 900} for m, tag in (("a1", "alpha"), ("b1", "beta"))]
+    paths = {"det": det_path, "gt": gt_path,
+             "media": write_jsonl(tmp_path / "media.jsonl", media_rows)}
+    rows = [json.loads(line) for line in paths[file].read_text(encoding="utf-8").splitlines()]
+    rows[1][key] = value
+    write_jsonl(paths[file], rows)
+    out = tmp_path / "out"
+    code = main(["eval-det", "--det", str(det_path), "--gt", str(gt_path),
+                 "--media", str(paths["media"]), "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 GOLDEN = Path(__file__).parent / "data" / "det_golden"
 
 
@@ -316,13 +362,22 @@ class TestEvalId:
     def test_bad_far_or_rank_exits_1_before_reading_inputs(self, toy_protocol_files, tmp_path,
                                                             capsys):
         emb_path, protocol_path = toy_protocol_files
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"ranks": [1, 0]}), encoding="utf-8")
+        configs = {"ranks": [1, 0], "far": [0.01, 0.001, 1e-2], "ranks-repeat": [20, 5, 20]}
+        for name, value in configs.items():
+            key = name.split("-")[0]
+            (tmp_path / f"{name}.json").write_text(json.dumps({key: value}), encoding="utf-8")
         cases = {
             "inf": (["--far", "inf"], "FAR target must be finite and non-negative, got inf"),
             "nan": (["--far", "0.1", "--far", "nan"], "got nan"),
             "rank": (["--rank", "0"], "ranks must be positive, got [0]"),
-            "cfg": (["--config", str(config_path)], "ranks must be positive, got [1, 0]"),
+            "cfg": (["--config", str(tmp_path / "ranks.json")], "ranks must be positive, got [1, 0]"),
+            "rank-twice": (["--rank", "5", "--rank", "5"], "ranks must not repeat, got [5, 5]"),
+            "far-twice": (["--far", "0.01", "--far", "1e-2"],
+                          "FAR targets must not repeat, got [0.01, 0.01]"),
+            "cfg-far-twice": (["--config", str(tmp_path / "far.json")],
+                              "FAR targets must not repeat, got [0.01, 0.001, 0.01]"),
+            "cfg-rank-twice": (["--config", str(tmp_path / "ranks-repeat.json")],
+                               "ranks must not repeat, got [20, 5, 20]"),
         }
         for name, (extra, expected) in cases.items():
             out = tmp_path / name
@@ -331,8 +386,21 @@ class TestEvalId:
             assert code == 1, name
             err = capsys.readouterr().err
             assert err.startswith("error: ") and expected in err, (name, err)
-            assert "Traceback" not in err
+            assert err.count("\n") == 1 and "Traceback" not in err
             assert not out.exists()
+
+    def test_truncated_config_error_names_the_file_and_position(self, toy_protocol_files,
+                                                                tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"ranks": [1,', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out), "--config", str(config_path)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: config file {config_path}: invalid JSON (Expecting value) at line 1 column 14\n"
+        )
 
     def test_one_evaluation_context_and_no_matrix_copy(self, toy_protocol_files, tmp_path,
                                                        monkeypatch):

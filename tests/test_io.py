@@ -174,6 +174,33 @@ class TestHostileDetectionFields:
         with pytest.raises(ParseError, match="^line 4501: invalid JSON"):
             load_detections(path)
 
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        lines = [json.dumps(_det_row(frame=i)).encode("utf-8") for i in range(6)]
+        lines[3] = lines[3].replace(b'"m"', b'"m\xff"')
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=r"^line 4: invalid UTF-8 \(invalid start byte: 0xff "
+                                             r"at byte 16 of the line\)$"):
+            load_detections(path)
+        # The decoder fails the whole block that holds line 4, before line 2 is
+        # read: a fault on line 2 still comes first.
+        lines[1] = b"not json"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+            load_detections(path)
+
+    def test_invalid_utf8_beyond_the_first_block_and_after_a_fault(self, tmp_path):
+        rows = [json.dumps(_det_row(frame=i)).encode("utf-8") for i in range(5000)]
+        rows[4500] = rows[4500].replace(b'"m"', b'"\xc3("')
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match="^line 4501: invalid UTF-8"):
+            load_detections(path)
+        rows[4321] = json.dumps(_det_row(w=0)).encode("utf-8")
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ValidationError, match="^line 4322: box sides must be positive"):
+            load_detections(path)
+
     def test_missing_media_id(self, tmp_path):
         row = _det_row()
         del row["media_id"]
@@ -185,14 +212,21 @@ class TestHostileDetectionFields:
         assert store.frames() == (("m", 3), ("m", 2**70))
         assert [rec.frame for rec in store.at("m", 3)] == [3, 3]
 
+    def test_corners_are_differenced_as_float64(self, tmp_path):
+        # 2**60 + 1 and 2**60 + 3 both read as 2**60: a box of zero width, on both
+        # the column path and the line-by-line path.
+        path = write_jsonl(tmp_path / "d.jsonl", [_det_row(), _det_row(x=2**60 + 1, w=2**60 + 3)])
+        with pytest.raises(ValidationError, match=r"^line 2: box sides must be positive, got w=0\.0,"):
+            load_detections(path, box_format="xyxy")
+
     # Valid rows plus up to two edits each: faults, or values that are valid but
-    # not plain (an integral float frame, a numeric media id). "drop" deletes a key.
+    # not plain (an integral float frame). "drop" deletes a key.
     _rows = st.lists(st.fixed_dictionaries(
         {"media_id": st.sampled_from(["m", "n"]), "frame": st.sampled_from([0, 1, 2**70]),
          "x": st.sampled_from([0, 1.5, 10]), "y": st.sampled_from([0, 2]),
          "w": st.sampled_from([1, 2.5, 20]), "h": st.sampled_from([1, 4]),
          "score": st.sampled_from([0, 0.5, 1])},
-        optional={"dataset_tag": st.sampled_from(["a", None, 3])},
+        optional={"dataset_tag": st.sampled_from(["a", None, 3, True])},
     ), min_size=1, max_size=6)
     _edits = st.lists(st.tuples(st.integers(0, 5), st.sampled_from([
         ("frame", -1), ("frame", 2.7), ("frame", "7"), ("frame", 3.0), ("frame", True),
@@ -217,10 +251,9 @@ class TestHostileDetectionFields:
             self._check_against_line_reads(path, rows, box_format)
 
     def _check_against_line_reads(self, path, rows, box_format):
-        keys = ("media_id", "frame", "x", "y", "w", "h", "score")
         try:
-            records = [_annotation_record(DetectionStore, {k: r[k] for k in keys if k in r}, i + 1,
-                                          box_format) for i, r in enumerate(rows)]
+            records = [_annotation_record(DetectionStore, r, i + 1, box_format)
+                       for i, r in enumerate(rows)]
         except BiomevalError as exc:
             with pytest.raises(type(exc)) as info:
                 load_detections(path, box_format=box_format)
@@ -230,8 +263,7 @@ class TestHostileDetectionFields:
         assert store == DetectionStore(records)
         tags = {}
         for rec, row in zip(records, rows):
-            tag = row.get("dataset_tag")
-            tags.setdefault(rec.media_id, None if tag is None else str(tag))
+            tags.setdefault(rec.media_id, row.get("dataset_tag"))
         assert store.media_tags == tags
 
 
@@ -478,8 +510,89 @@ class TestProtocolAndMedia:
     def test_protocol_missing_keys(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"gallery": []}), encoding="utf-8")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^protocol is missing key 'probes'$"):
             load_protocol(path)
+
+    @pytest.mark.parametrize("protocol, expected", [
+        ('{"gallery": [', "invalid JSON (Expecting value) at line 1 column 14"),
+        ('{"gallery": [],\n "probes": [{"probe_id": "p"', "invalid JSON (Expecting ',' delimiter) at line 2 column 29"),
+        ("[]", "protocol must be a JSON object, got []"),
+        ('{"gallery": {}, "probes": []}', "protocol.gallery must be a list, got {}"),
+        ('{"gallery": [], "probes": ["p1"]}', "probes[0] must be a JSON object, got 'p1'"),
+        ('{"gallery": [{"media_ids": ["m"]}], "probes": []}', "gallery[0] is missing key 'subject_id'"),
+        ('{"gallery": [{"subject_id": "s", "media_ids": []}], "probes": []}',
+         "gallery[0].media_ids must be a non-empty list of strings, got []"),
+        ('{"gallery": [{"subject_id": "s", "media_ids": ["m", 2]}], "probes": []}',
+         "gallery[0].media_ids must be a non-empty list of strings, got ['m', 2]"),
+        ('{"gallery": [{"subject_id": "s", "media_ids": ["m"], "distractor": 0}], "probes": []}',
+         "gallery[0].distractor must be true or false, got 0"),
+        ('{"gallery": [], "probes": [{"probe_id": 1, "media_id": "m"}]}',
+         "probes[0].probe_id must be a string, got 1"),
+        ('{"gallery": [], "probes": [{"probe_id": "p", "media_id": ["m"]}]}',
+         "probes[0].media_id must be a string, got ['m']"),
+    ], ids=["truncated", "second-line", "array", "gallery-object", "probe-string", "no-subject",
+            "no-media", "media-number", "distractor-zero", "probe-id-number", "media-id-list"])
+    def test_protocol_faults_name_their_entry(self, tmp_path, protocol, expected):
+        path = tmp_path / "p.json"
+        path.write_text(protocol, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_protocol(path)
+        assert str(info.value) == expected
+
+    _ids = st.text(min_size=1, max_size=6)  # any Unicode but lone surrogates
+
+    @settings(max_examples=100, deadline=None)
+    @given(gallery=st.lists(st.tuples(_ids, st.lists(_ids, min_size=1, max_size=3),
+                                      st.sampled_from([True, False, None])),
+                            max_size=5, unique_by=lambda entry: entry[0]),
+           probes=st.lists(st.tuples(_ids, _ids, st.one_of(st.none(), _ids, st.integers(0, 4))),
+                           max_size=5, unique_by=lambda entry: entry[0]))
+    def test_protocol_dumped_as_json_loads_back_equal(self, gallery, probes):
+        """A None distractor leaves the key out, which reads as false; an integer
+        true subject names a gallery subject, so some probes are mates."""
+        doc = {
+            "gallery": [dict({"subject_id": subject, "media_ids": media},
+                             **({} if flag is None else {"distractor": flag}))
+                        for subject, media, flag in gallery],
+            "probes": [],
+        }
+        distractors = {subject for subject, _, flag in gallery if flag}
+        for probe_id, media, subject in probes:
+            if isinstance(subject, int):
+                subject = gallery[subject % len(gallery)][0] if gallery else None
+            if subject in distractors:
+                subject = None
+            doc["probes"].append({"probe_id": probe_id, "media_id": media, "true_subject_id": subject})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+            manifest = load_protocol(path)
+        assert [(e.subject_id, list(e.media_ids), e.distractor) for e in manifest.gallery] == [
+            (e["subject_id"], e["media_ids"], e.get("distractor", False)) for e in doc["gallery"]
+        ]
+        assert [(p.probe_id, p.media_id, p.true_subject_id) for p in manifest.probes] == [
+            (p["probe_id"], p["media_id"], p["true_subject_id"]) for p in doc["probes"]
+        ]
+
+    def test_large_protocol_loads_in_bounded_memory(self, tmp_path):
+        doc = {
+            "gallery": [{"subject_id": f"s{i}", "media_ids": [f"g{i}a", f"g{i}b"],
+                         "distractor": i % 3 == 0} for i in range(1000)],
+            "probes": [{"probe_id": f"p{i}", "media_id": f"m{i}",
+                        "true_subject_id": None if i % 2 else f"s{i % 1000 // 3 * 3 + 1}"}
+                       for i in range(100_000)],
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        del doc
+        tracemalloc.start()
+        try:
+            manifest = load_protocol(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(manifest.probes) == 100_000 and manifest.distractor_count == 334
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_media_index_load(self, tmp_path):
         rows = [
