@@ -29,7 +29,7 @@ from typing import NoReturn
 
 from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
-from .errors import BiomevalError, brief, json_error, preview
+from .errors import BiomevalError, ParseError, brief, preview
 from .identify import (
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
@@ -45,6 +45,7 @@ from .io import (
     load_ground_truth,
     load_media_index,
     load_protocol,
+    read_json,
     sniff_embedding_format,
     write_embeddings,
 )
@@ -207,11 +208,10 @@ def _load_config_file(path, actions) -> dict:
     must be destinations of the subcommand's flags."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BiomevalError(f"config file {path}: {json_error(exc)}") from None
+    try:
+        doc = read_json(path)
+    except ParseError as exc:
+        raise BiomevalError(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise BiomevalError("config file must hold a JSON object")
     by_key = {action.dest: action for action in actions}
@@ -347,20 +347,14 @@ def _cmd_eval_det(args) -> RunOutputs:
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
 
+    def line(name, thr, scores) -> str:
+        counts = scores.counts
+        return (f"  {name} @ {thr:g}: P={round6(scores.precision)} R={round6(scores.recall)} "
+                f"F1={round6(scores.f1)} (tp={counts.tp} fp={counts.fp} fn={counts.fn})")
+
     lines = [f"detection evaluation at IoU thresholds {list(thresholds)}"]
-    for tag in report.groups:
-        for thr in thresholds:
-            scores = report.per_group[(tag, thr)]
-            lines.append(
-                f"  {tag} @ {thr:g}: P={round6(scores.precision)} R={round6(scores.recall)} "
-                f"F1={round6(scores.f1)} (tp={scores.counts.tp} fp={scores.counts.fp} fn={scores.counts.fn})"
-            )
-    for thr in thresholds:
-        scores = report.pooled[thr]
-        lines.append(
-            f"  pooled @ {thr:g}: P={round6(scores.precision)} R={round6(scores.recall)} "
-            f"F1={round6(scores.f1)} (tp={scores.counts.tp} fp={scores.counts.fp} fn={scores.counts.fn})"
-        )
+    lines += [line(tag, thr, report.per_group[(tag, thr)]) for tag in report.groups for thr in thresholds]
+    lines += [line("pooled", thr, report.pooled[thr]) for thr in thresholds]
     summary = "\n".join(lines) + "\n"
     return RunOutputs(
         run, "eval-det",
@@ -392,14 +386,16 @@ def _cmd_eval_id(args) -> RunOutputs:
         },
         seed=args.seed,
     )
-    metric, aggregate = args.metric, args.aggregate
-    emb_format = args.format or sniff_embedding_format(args.emb)
+    # The settings that the report and the manifest's config share.
+    settings = {"ranks": list(ranks), "far_targets": list(far_targets), "metric": args.metric,
+                "aggregation": args.aggregate, "rank_cap": rank_cap}
+    emb_format = sniff_embedding_format(args.emb)
 
     embeddings = load_embeddings(args.emb, format=emb_format)
     manifest = load_protocol(args.protocol)
-    gallery = build_gallery_templates(manifest, embeddings, method=aggregate)
+    gallery = build_gallery_templates(manifest, embeddings, method=args.aggregate)
     probe_ids, probes = probe_matrix(manifest, embeddings)
-    matrix = score(probes, gallery, metric=metric, probe_ids=probe_ids)
+    matrix = score(probes, gallery, metric=args.metric, probe_ids=probe_ids)
 
     evaluation = IdentificationEval(matrix, manifest)
     if not evaluation.mate_rows.size:
@@ -420,9 +416,8 @@ def _cmd_eval_id(args) -> RunOutputs:
         artefacts["openset.csv"] = open_set.to_csv(columns=("fpir", "fnir", "threshold")).encode("utf-8")
 
     report = {
-        "ranks": list(ranks),
+        **settings,
         "rank_accuracy": rank_accuracy,
-        "far_targets": list(far_targets),
         "tar_at_far": [p.as_dict() for p in operating_points],
         "counts": {
             "probes": len(manifest.probes),
@@ -431,9 +426,6 @@ def _cmd_eval_id(args) -> RunOutputs:
             "gallery_subjects": gallery_size,
             "distractors": manifest.distractor_count,
         },
-        "metric": metric,
-        "aggregation": aggregate,
-        "rank_cap": rank_cap,
         "open_set_curve": "openset.csv" in artefacts,
     }
     lines = [
@@ -444,16 +436,8 @@ def _cmd_eval_id(args) -> RunOutputs:
     lines += [f"  TAR@FAR<={p.far_target:g}: {round6(p.tar)} (threshold {round6(p.threshold)})"
               for p in operating_points]
 
-    run_config = {
-        "far_targets": list(far_targets),
-        "ranks": list(ranks),
-        "metric": metric,
-        "aggregation": aggregate,
-        "rank_cap": rank_cap,
-        "embedding_format": emb_format,
-        "seed": run.seed,
-    }
     artefacts["identification_report.json"] = _json_bytes(report)
+    run_config = {**settings, "embedding_format": emb_format, "seed": run.seed}
     return RunOutputs(run, "eval-id", config=run_config, artefacts=artefacts,
                       summary="\n".join(lines) + "\n")
 
@@ -568,9 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-id", help="closed- and open-set identification metrics")
     _add_common(p)
-    p.add_argument("--emb", help="embeddings file (text JSONL or binary)")
+    p.add_argument("--emb", help="embeddings file (text JSONL or binary; format sniffed)")
     p.add_argument("--protocol", help="protocol manifest JSON")
-    p.add_argument("--format", choices=("text", "binary"), help="embedding format (default: sniff)")
     p.add_argument(
         "--far", type=float, action="append", default=DEFAULT_FAR_TARGETS,
         help=f"FAR target, repeatable (default {list(DEFAULT_FAR_TARGETS)})",

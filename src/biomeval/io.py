@@ -5,8 +5,10 @@ Formats:
   - embeddings: JSON lines (text) or the "BEMB" little-endian binary layout
   - protocol manifest and media index: JSON documents / JSON lines
 
-Every field is read by one rule (_field): ids and tags are JSON strings, and a
-value of another JSON type is an error that names its line or protocol entry.
+Every file is decoded by one rule (_decode_utf8): a byte that is not UTF-8 fails
+with its line and its byte within that line. Every field is read by one rule
+(_field): ids and tags are JSON strings, and a value of another JSON type is an
+error that names its line or protocol entry.
 """
 
 from __future__ import annotations
@@ -63,36 +65,43 @@ def _jsonl_object(line: str, lineno: int) -> dict | None:
     return obj
 
 
+def _decode_utf8(data: bytes, lineno: int = 1) -> str:
+    """data as text; a byte that is not UTF-8 fails with its line (lineno plus the
+    newlines before it) and its 1-based position within that line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        where = f"{data[exc.start]:#04x} at byte {exc.start - start + 1} of the line"
+        raise ParseError(f"invalid UTF-8 ({exc.reason}: {where})",
+                         line=lineno + data.count(b"\n", 0, exc.start)) from None
+
+
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) for every non-blank line; line numbers are 1-based.
 
-    A byte that is not UTF-8 fails its line, after every fault on an earlier line.
+    A byte that is not UTF-8 reads as a lone surrogate and fails its line when
+    the line is reached, after every fault on an earlier line.
     """
-    done = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for done, line in enumerate(fh, start=1):
-                obj = _jsonl_object(line, done)
-                if obj is not None:
-                    yield done, obj
-        return
-    except UnicodeDecodeError:
-        pass
-    # The decoder fails a whole block at once, possibly before lines it holds were
-    # read. Read on from the last line read, with each bad byte as a lone surrogate.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if lineno <= done:
-                continue
-            raw = line.encode("utf-8", "surrogateescape")
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                where = f"{raw[exc.start]:#04x} at byte {exc.start + 1} of the line"
-                raise ParseError(f"invalid UTF-8 ({exc.reason}: {where})", line=lineno) from None
+            if not line.isascii():
+                _decode_utf8(line.encode("utf-8", "surrogateescape"), lineno)
             obj = _jsonl_object(line, lineno)
             if obj is not None:
                 yield lineno, obj
+
+
+def read_json(path: str | Path):
+    """The JSON value of a document file. A byte that is not UTF-8 fails as in a
+    JSON-lines file; a JSON fault names its line and column."""
+    text = _decode_utf8(Path(path).read_bytes())  # the bytes are freed before parsing
+    # "\r\n" and "\r" end lines as in text mode, for a JSON fault's line and column.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(json_error(exc)) from None
 
 
 # Field kinds, by the rule every loader applies: a check of the JSON value that
@@ -113,9 +122,9 @@ def _list(value) -> str | None:
     return None if type(value) is list else "must be a list"
 
 
-def _strings(value) -> str | None:
+def _distinct_strings(value) -> str | None:
     if type(value) is list and value and all(type(item) is str for item in value):
-        return None
+        return None if len(set(value)) == len(value) else "must be a non-empty list of distinct strings"
     return "must be a non-empty list of strings"
 
 
@@ -255,8 +264,10 @@ def load_ground_truth(path: str | Path, box_format: str = "xywh") -> GroundTruth
     return _load_annotations(path, box_format, _stores.GroundTruthStore)
 
 
-def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
-    """Load embeddings from a text (JSONL) or binary (BEMB) file."""
+def load_embeddings(path: str | Path, format: str | None = None) -> EmbeddingStore:
+    """Load embeddings from a text (JSONL) or binary (BEMB) file; the format is
+    sniffed (sniff_embedding_format) when not given."""
+    format = sniff_embedding_format(path) if format is None else format
     if format == "text":
         return _load_embeddings_text(path)
     if format == "binary":
@@ -265,7 +276,8 @@ def load_embeddings(path: str | Path, format: str = "text") -> EmbeddingStore:
 
 
 def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
-    records = []
+    """Every vector has the first record's dimension; a fault names the first faulty line."""
+    records, first = [], None
     for lineno, obj in _iter_jsonl(path):
         vector = _field(obj, "vector", lineno)
         if not isinstance(vector, list):
@@ -279,6 +291,10 @@ def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
             rec = EmbeddingRecord(media_id=media_id, vector=tuple(map(float, vector)))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+        first = first or (lineno, rec.dim)
+        if rec.dim != first[1]:
+            raise ValidationError(f"line {lineno}: embedding dimension {rec.dim} differs "
+                                  f"from line {first[0]}'s {first[1]}")
         records.append(rec)
     return EmbeddingStore(records)
 
@@ -378,21 +394,17 @@ def _entries(doc: dict, section: str) -> Iterator[tuple[str, dict]]:
 def load_protocol(path: str | Path) -> ProtocolManifest:
     """Load a protocol manifest from a single JSON document.
 
-    Ids are strings, media_ids a non-empty list of strings, distractor true or
+    Ids are strings, media_ids a non-empty list of distinct strings, distractor true or
     false (false when absent) and true_subject_id a string or null (null when
     absent); an error names the faulty entry, such as gallery[12].
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(json_error(exc)) from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"protocol must be a JSON object, got {brief(doc)}")
     gallery = tuple(
         GalleryEntry(
             subject_id=_field(entry, "subject_id", where, _string),
-            media_ids=tuple(_field(entry, "media_ids", where, _strings)),
+            media_ids=tuple(_field(entry, "media_ids", where, _distinct_strings)),
             distractor=_field(entry, "distractor", where, _flag, False),
         )
         for where, entry in _entries(doc, "gallery")

@@ -402,6 +402,46 @@ class TestEvalId:
             f"error: config file {config_path}: invalid JSON (Expecting value) at line 1 column 14\n"
         )
 
+    def test_invalid_utf8_protocol_or_config_names_its_line(self, toy_protocol_files, tmp_path,
+                                                            capsys):
+        emb_path, protocol_path = toy_protocol_files
+        bad = b'{\n "gallery": [],\n "probes": [\n    {"probe_id": "p\xff", "media_id": "m"}\n ]\n}\n'
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_bytes(bad)
+        located = "line 4: invalid UTF-8 (invalid start byte: 0xff at byte 20 of the line)"
+        for extra, expected in ((["--protocol", str(bad_path)], f"error: {located}\n"),
+                                (["--protocol", str(protocol_path), "--config", str(bad_path)],
+                                 f"error: config file {bad_path}: {located}\n")):
+            out = tmp_path / "out"
+            code = main(["eval-id", "--emb", str(emb_path), "--out", str(out), *extra])
+            assert code == 1 and not out.exists()
+            assert capsys.readouterr().err == expected
+
+    def test_repeated_gallery_medium_exits_1(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        _mistyped_protocol(protocol_path, ("gallery", 0, "media_ids", ["gm1", "gm1"]))
+        out = tmp_path / "out"
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == ("error: gallery[0].media_ids must be a non-empty list "
+                                           "of distinct strings, got ['gm1', 'gm1']\n")
+
+    def test_embedding_format_is_not_an_option(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        base = ["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as info:
+            main([*base, "--format", "text"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format text" in capsys.readouterr().err
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"format": "text"}), encoding="utf-8")
+        assert main([*base, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file has unknown keys ['format']; ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_evaluation_context_and_no_matrix_copy(self, toy_protocol_files, tmp_path,
                                                        monkeypatch):
         import biomeval.cli
@@ -464,7 +504,6 @@ def test_scalar_for_a_list_config_key_exits_1_before_reading_inputs(command, key
     ("eval-id", {"rank_cap": 2.0}),
     ("eval-id", {"metric": "foo"}),
     ("eval-id", {"aggregate": "median"}),
-    ("eval-id", {"format": "xml"}),
     ("eval-det", {"box_format": "abc"}),
     ("eval-det", {"iou": ["0.5"]}),
     ("eval-det", {"iou": [10**400]}),
@@ -521,10 +560,10 @@ def test_config_only_run_matches_flag_run(toy_protocol_files, tmp_path):
     emb_path, protocol_path = toy_protocol_files
     flags = ["--emb", str(emb_path), "--protocol", str(protocol_path), "--far", "0.5",
              "--rank", "2", "--rank", "1", "--metric", "neg_euclidean", "--aggregate", "max_score",
-             "--rank-cap", "2", "--format", "text", "--seed", "4"]
+             "--rank-cap", "2", "--seed", "4"]
     config = {"emb": str(emb_path), "protocol": str(protocol_path), "far": [0.5], "ranks": [2, 1],
               "metric": "neg_euclidean", "aggregate": "max_score", "rank_cap": 2,
-              "format": "text", "seed": 4, "out": str(tmp_path / "cfg")}
+              "seed": 4, "out": str(tmp_path / "cfg")}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["eval-id", *flags, "--out", str(tmp_path / "flags")]) == 0

@@ -325,6 +325,37 @@ class TestEmbeddingFormats:
         store = load_embeddings(path, format="text")
         assert store.matrix.tolist() == [[1.0, -2.0, 0.5]]
 
+    _A = '{"media_id": "a", "vector": [1.0, 2.0]}'
+
+    @pytest.mark.parametrize("lines, expected", [
+        ([_A, '{"media_id": "b", "vector": [1.0]}'],
+         "line 2: embedding dimension 1 differs from line 1's 2"),
+        (["", _A, "", '{"media_id": "b", "vector": [1.0, 2.0, 3.0]}'],
+         "line 4: embedding dimension 3 differs from line 2's 2"),
+        ([_A, "", '{"media_id": "b", "vector": [NaN, 1.0]}'],
+         "line 3: embedding for 'b' has non-finite components"),
+        ([_A, '{"media_id": "b", "vector": [1e400, 1.0]}'],
+         "line 2: embedding for 'b' has non-finite components"),
+        ([_A, '{"media_id": "b", "vector": []}'], "line 2: embedding for 'b' is empty"),
+        (['{"media_id": "a", "vector": [NaN, 2.0]}', '{"media_id": "b", "vector": [1.0]}'],
+         "line 1: embedding for 'a' has non-finite components"),
+        ([_A, '{"media_id": "b", "vector": [1.0]}', '{"media_id": 3, "vector": [1.0, 2.0]}'],
+         "line 2: embedding dimension 1 differs from line 1's 2"),
+    ], ids=["ragged", "ragged-after-blank-lines", "nan-after-blank", "overflow", "empty",
+            "first-line-nan-beats-ragged", "ragged-beats-later-type-fault"])
+    def test_text_fault_names_the_first_faulty_line(self, tmp_path, lines, expected):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(BiomevalError) as info:
+            load_embeddings(path, format="text")
+        assert str(info.value) == expected
+
+    def test_format_is_sniffed_when_not_given(self, tmp_path):
+        text = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [0.5, -1.0]}])
+        binary = tmp_path / "e.bemb"
+        write_embeddings(load_embeddings(text), binary, format="binary")
+        assert load_embeddings(binary) == load_embeddings(text)
+
     def test_binary_header_contract(self, tmp_path):
         rng = np.random.default_rng(11)
         store = EmbeddingStore(
@@ -539,10 +570,47 @@ class TestProtocolAndMedia:
             load_protocol(path)
         assert str(info.value) == expected
 
+    def test_repeated_medium_in_a_gallery_entry(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"gallery": [{"subject_id": "s", "media_ids": ["a1", "a1", "a2"]}], '
+                        '"probes": []}', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_protocol(path)
+        assert str(info.value) == ("gallery[0].media_ids must be a non-empty list of distinct "
+                                   "strings, got ['a1', 'a1', 'a2']")
+
+    def test_invalid_utf8_names_its_line_and_byte(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{\n "gallery": [],\n "probes": [\n    {"probe_id": "p\xff", '
+                         b'"media_id": "m"}\n ]\n}\n')
+        with pytest.raises(ParseError) as info:
+            load_protocol(path)
+        assert str(info.value) == "line 4: invalid UTF-8 (invalid start byte: 0xff at byte 20 of the line)"
+        path.write_bytes(b'{"gallery": [], "probes": [{"probe_id": "\xc3(", "media_id": "m"}]}')
+        with pytest.raises(ParseError) as info:
+            load_protocol(path)
+        assert str(info.value) == ("line 1: invalid UTF-8 (invalid continuation byte: 0xc3 "
+                                   "at byte 42 of the line)")
+
+    @pytest.mark.parametrize("protocol, expected", [
+        ('{"gallery": [\n', "invalid JSON (Expecting value) at line 2 column 1"),
+        ('{"gallery": [],\n "probes": [{"probe_id": "p"', "invalid JSON (Expecting ',' delimiter) at line 2 column 29"),
+        ('{\n "gallery": [],\n "probes": []\n}\n}\n', "invalid JSON (Extra data) at line 5 column 1"),
+        ('{\n "gallery": [],\n "probes": [1 2]}', "invalid JSON (Expecting ',' delimiter) at line 3 column 15"),
+        ('{\n "gallery": [],\n  "probes": "p\n"}', "invalid JSON (Invalid control character at) at line 3 column 15"),
+    ], ids=["truncated", "second-line", "extra-data", "missing-comma", "newline-in-string"])
+    def test_json_fault_position_is_the_same_with_crlf_line_ends(self, tmp_path, protocol, expected):
+        path = tmp_path / "p.json"
+        for newline in ("\n", "\r\n"):
+            path.write_bytes(protocol.replace("\n", newline).encode("utf-8"))
+            with pytest.raises(ParseError) as info:
+                load_protocol(path)
+            assert str(info.value) == expected, repr(newline)
+
     _ids = st.text(min_size=1, max_size=6)  # any Unicode but lone surrogates
 
     @settings(max_examples=100, deadline=None)
-    @given(gallery=st.lists(st.tuples(_ids, st.lists(_ids, min_size=1, max_size=3),
+    @given(gallery=st.lists(st.tuples(_ids, st.lists(_ids, min_size=1, max_size=3, unique=True),
                                       st.sampled_from([True, False, None])),
                             max_size=5, unique_by=lambda entry: entry[0]),
            probes=st.lists(st.tuples(_ids, _ids, st.one_of(st.none(), _ids, st.integers(0, 4))),
