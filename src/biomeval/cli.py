@@ -31,15 +31,21 @@ from . import __version__
 from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
 from .errors import BiomevalError, ParseError, brief, preview
 from .identify import (
+    AGGREGATION_METHODS,
     DEFAULT_FAR_TARGETS,
     DEFAULT_RANKS,
+    SCORE_METRICS,
     IdentificationEval,
     build_gallery_templates,
-    far_target,
+    far_targets,
+    positive_rank,
     probe_matrix,
+    report_ranks,
     score,
 )
 from .io import (
+    BOX_FORMATS,
+    EMBEDDING_FORMATS,
     load_detections,
     load_embeddings,
     load_ground_truth,
@@ -55,6 +61,8 @@ from .sampling import (
     DEFAULT_STRIDE,
     DEFAULT_SUBJECTS_PER_BATCH,
     GENERATOR_NAME,
+    MODES,
+    SELECTIONS,
     STANDARD_TEST_STRIDES,
     dataset_balanced_weights,
     frame_window,
@@ -114,7 +122,8 @@ def _sha256(path: str) -> str:
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(_round_floats(payload), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -368,16 +377,8 @@ def _cmd_eval_det(args) -> RunOutputs:
 
 
 def _cmd_eval_id(args) -> RunOutputs:
-    rank_cap, ranks = args.rank_cap, args.ranks
-    if rank_cap is not None and rank_cap < 1:
-        raise BiomevalError(f"rank_cap must be positive (an integer of at least 1), got {rank_cap!r}")
-    far_targets = tuple(far_target(f) for f in args.far)
-    if any(k < 1 for k in ranks):
-        raise BiomevalError(f"ranks must be positive, got {list(ranks)}")
-    # Like IoU thresholds, no rank or FAR target twice (0.01 and 1e-2 are one target).
-    for name, values in (("ranks", ranks), ("FAR targets", far_targets)):
-        if len(set(values)) != len(values):
-            raise BiomevalError(f"{name} must not repeat, got {brief(list(values))}")
+    rank_cap = positive_rank("rank_cap", args.rank_cap)
+    targets, ranks = far_targets(args.far), report_ranks(args.ranks)
     run = RunConfig(
         out_dir=_out_dir(args),
         inputs={
@@ -387,7 +388,7 @@ def _cmd_eval_id(args) -> RunOutputs:
         seed=args.seed,
     )
     # The settings that the report and the manifest's config share.
-    settings = {"ranks": list(ranks), "far_targets": list(far_targets), "metric": args.metric,
+    settings = {"ranks": list(ranks), "far_targets": list(targets), "metric": args.metric,
                 "aggregation": args.aggregate, "rank_cap": rank_cap}
     emb_format = sniff_embedding_format(args.emb)
 
@@ -398,12 +399,10 @@ def _cmd_eval_id(args) -> RunOutputs:
     matrix = score(probes, gallery, metric=args.metric, probe_ids=probe_ids)
 
     evaluation = IdentificationEval(matrix, manifest)
-    if not evaluation.mate_rows.size:
-        raise BiomevalError("protocol has no mate searches; nothing to rank")
 
     gallery_size = len(manifest.gallery)
     rank_accuracy = {str(k): evaluation.rank_k_accuracy(k) for k in ranks}
-    operating_points = evaluation.tar_at_far(far_targets)
+    operating_points = evaluation.tar_at_far(targets)
     cmc_curve = evaluation.cmc()
     roc = evaluation.roc_curve()
     open_set = evaluation.fnir_fpir(rank_cap=rank_cap) if evaluation.non_mate_rows.size else None
@@ -547,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iou", type=float, action="append", default=DEFAULT_IOU_THRESHOLDS,
         help=f"IoU threshold, repeatable (default {list(DEFAULT_IOU_THRESHOLDS)})",
     )
-    p.add_argument("--box-format", dest="box_format", choices=("xywh", "xyxy"), default="xywh")
+    p.add_argument("--box-format", dest="box_format", choices=BOX_FORMATS, default="xywh")
     p.set_defaults(func=_cmd_eval_det)
 
     p = sub.add_parser("eval-id", help="closed- and open-set identification metrics")
@@ -560,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rank", dest="ranks", type=int, action="append", default=DEFAULT_RANKS,
                    help=f"report rank, repeatable (default {list(DEFAULT_RANKS)})")
-    p.add_argument("--metric", choices=("cosine", "neg_euclidean"), default="cosine")
-    p.add_argument("--aggregate", choices=("mean", "max_score"), default="mean")
+    p.add_argument("--metric", choices=SCORE_METRICS, default="cosine")
+    p.add_argument("--aggregate", choices=AGGREGATION_METHODS, default="mean")
     p.add_argument("--rank-cap", dest="rank_cap", type=int,
                    help="count a mate search failed when its rank exceeds this cap")
     p.set_defaults(func=_cmd_eval_id)
@@ -579,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--window-length", dest="window_length", type=int, default=16,
                    help="padded window length for train mode (default 16)")
-    p.add_argument("--mode", choices=("train", "test"), default="train")
-    p.add_argument("--selection", choices=("window", "uniform"), default="window",
+    p.add_argument("--mode", choices=MODES, default="train")
+    p.add_argument("--selection", choices=SELECTIONS, default="window",
                    help="train-mode frame pick: consecutive run or uniform subset")
     p.add_argument("--sample-count", dest="sample_count", type=int,
                    help="also draw this many media via dataset-balanced weights")
@@ -592,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert-emb", help="convert embeddings between text and binary")
     p.add_argument("--emb", required=True, help="input embeddings file (format sniffed)")
-    p.add_argument("--format", required=True, choices=("text", "binary"), help="target format")
+    p.add_argument("--format", required=True, choices=EMBEDDING_FORMATS, help="target format")
     p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=_cmd_convert_emb)
 

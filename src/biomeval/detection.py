@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, brief
+from .errors import ValidationError, brief, no_repeats
 from .records import BoundingBox, DetectionRecord, GroundTruthRecord
 from .stores import DetectionStore, GroundTruthStore, box_columns, merge_media_tags
 
@@ -59,9 +59,7 @@ def iou_thresholds(values) -> tuple:
     thresholds = tuple(iou_threshold(v) for v in values)
     if not thresholds:
         raise ValidationError("at least one IoU threshold is required")
-    if len(set(thresholds)) != len(thresholds):
-        raise ValidationError(f"IoU thresholds must not repeat, got {brief(list(thresholds))}")
-    return thresholds
+    return no_repeats("IoU thresholds", thresholds, ValidationError)
 
 
 def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:

@@ -14,6 +14,13 @@ def duplicates(values: Iterable[str]) -> list[str]:
     return sorted(v for v, n in Counter(values).items() if n > 1)
 
 
+def no_repeats(name: str, values: Sequence, error: type[Exception] = ValueError) -> Sequence:
+    """values, unless the list setting `name` holds a value twice (1 and 1.0 are one value)."""
+    if len(set(values)) != len(values):
+        raise error(f"{name} must not repeat, got {brief(list(values))}")
+    return values
+
+
 def preview(items: Sequence[str]) -> str:
     """The first MESSAGE_LIST_LIMIT items as a list, plus the total count when some are cut."""
     shown = list(items[:MESSAGE_LIST_LIMIT])

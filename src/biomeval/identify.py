@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError, preview
+from .errors import ProtocolError, ValidationError, brief, no_repeats, preview
 from .records import ProtocolManifest
 from .stores import EmbeddingStore
 
@@ -321,6 +321,23 @@ class Curve:
         return text.getvalue()
 
 
+def _share_above(ascending: np.ndarray, taus) -> np.ndarray:
+    """The acceptance rule: the share of an ascending array's scores above each
+    threshold, count(x > t) = len(x) - the first index past t."""
+    return (ascending.size - np.searchsorted(ascending, taus, side="right")) / ascending.size
+
+
+def _plateau_curve(xs, ys, taus, x_label: str, y_label: str) -> Curve:
+    """The curve through each distinct x at its first occurrence along ascending taus.
+
+    x is non-increasing along ascending taus, so the first occurrence of
+    each x value is its plateau's smallest tau and the y it reaches there.
+    """
+    unique_xs, first = np.unique(xs, return_index=True)
+    points = tuple(zip(unique_xs.tolist(), ys[first].tolist()))
+    return Curve(points, x_label, y_label, thresholds=tuple(taus[first].tolist()))
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     far_target: float
@@ -329,15 +346,35 @@ class OperatingPoint:
     achieved_far: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields; the -inf threshold that accepts every score is None, JSON's null."""
+        return {**asdict(self), "threshold": None if self.threshold == -math.inf else self.threshold}
 
 
 def far_target(value) -> float:
-    """A false-accept-rate target as a float; it must be finite and non-negative."""
+    """A false-accept-rate target as a float in [0, 1] (so neither NaN nor infinite)."""
     f = float(value)
-    if not (math.isfinite(f) and f >= 0):
-        raise ValueError(f"FAR target must be finite and non-negative, got {value!r}")
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"FAR target must lie in [0, 1], got {value!r}")
     return f
+
+
+def far_targets(values) -> tuple[float, ...]:
+    """A report's FAR targets: each by far_target, none twice (0.01 and 1e-2 are one target)."""
+    return no_repeats("FAR targets", tuple(far_target(f) for f in values))
+
+
+def positive_rank(name: str, value):
+    """The rank rule: a rank, or each rank of a list, is at least 1; None (no rank) passes.
+    Returns value unchanged."""
+    ranks = value if isinstance(value, list) else [] if value is None else [value]
+    if any(k < 1 for k in ranks):
+        raise ValueError(f"{name} must be positive, got {brief(value)}")
+    return value
+
+
+def report_ranks(values) -> tuple[int, ...]:
+    """A report's ranks: each by positive_rank, none twice."""
+    return no_repeats("ranks", tuple(positive_rank("ranks", list(values))))
 
 
 class IdentificationEval:
@@ -401,8 +438,7 @@ class IdentificationEval:
 
     def rank_k_accuracy(self, k: int) -> float:
         """Fraction of mate searches whose mate ranks within the top k."""
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+        positive_rank("k", k)
         return float((self.ranks <= k).mean())
 
     def cmc(self, max_rank: int | None = None) -> Curve:
@@ -414,8 +450,7 @@ class IdentificationEval:
         ranks = self.ranks
         if max_rank is None:
             max_rank = len(self.matrix.subject_ids)
-        if max_rank < 1:
-            raise ValueError(f"max_rank must be positive, got {max_rank}")
+        positive_rank("max_rank", max_rank)
         hits = np.bincount(np.minimum(ranks, max_rank + 1), minlength=max_rank + 2)
         accuracy = np.cumsum(hits[1 : max_rank + 1]) / ranks.size
         points = tuple((float(r), float(a)) for r, a in enumerate(accuracy, start=1))
@@ -426,30 +461,22 @@ class IdentificationEval:
     ) -> list[OperatingPoint]:
         """True accept rate at thresholds hit by each false-accept-rate target.
 
-        For a target f over N impostor scores, the threshold is the
-        (floor(f*N) + 1)-th largest impostor score (+inf when that order
-        statistic does not exist) and acceptance means score > threshold, so
-        the achieved FAR never exceeds the target.
+        For a target f in [0, 1] over N impostor scores, the threshold is the
+        (floor(f*N) + 1)-th largest impostor score and acceptance means
+        score > threshold, so the achieved FAR never exceeds the target. When
+        floor(f*N) = N that order statistic does not exist and the threshold
+        is -inf: every score is accepted, TAR and achieved FAR are 1.
         """
         self._require_genuine_and_impostor()
         targets = [far_target(f) for f in far_targets]
         ascending = self.impostor
         n = ascending.size
-        points = []
-        for f in targets:
-            m = int(np.floor(min(f * n, n)))
-            threshold = float(ascending[n - 1 - m]) if m < n else np.inf
-            # count(impostor > t) = N - first index past t in the sorted array.
-            accepted = n - int(np.searchsorted(ascending, threshold, side="right"))
-            points.append(
-                OperatingPoint(
-                    far_target=f,
-                    threshold=threshold,
-                    tar=float((self.genuine > threshold).mean()),
-                    achieved_far=accepted / n,
-                )
-            )
-        return points
+        thresholds = [float(ascending[n - 1 - m]) if m < n else -math.inf
+                      for m in (math.floor(f * n) for f in targets)]
+        tars = _share_above(np.sort(self.genuine), thresholds).tolist()
+        fars = _share_above(ascending, thresholds).tolist()
+        return [OperatingPoint(f, threshold, tar, far)
+                for f, threshold, tar, far in zip(targets, thresholds, tars, fars)]
 
     def roc_curve(self, max_points: int = 4096) -> Curve:
         """TAR-vs-FAR sweep over impostor-score thresholds.
@@ -468,18 +495,8 @@ class IdentificationEval:
             taus = np.concatenate(([-np.inf], np.unique(imp_sorted[positions])))
         else:
             taus = np.concatenate(([-np.inf], np.unique(imp_sorted)))
-        # count(x > t) = len(x) - first index past t in the sorted array.
-        fars = (imp_sorted.size - np.searchsorted(imp_sorted, taus, side="right")) / imp_sorted.size
-        tars = (gen_sorted.size - np.searchsorted(gen_sorted, taus, side="right")) / gen_sorted.size
-        # fars is non-increasing along ascending taus, so the first occurrence
-        # of each FAR value is its plateau's smallest tau and largest TAR.
-        unique_fars, first = np.unique(fars, return_index=True)
-        return Curve(
-            points=tuple(zip(unique_fars.tolist(), tars[first].tolist())),
-            x_label="false accept rate",
-            y_label="true accept rate",
-            thresholds=tuple(taus[first].tolist()),
-        )
+        fars, tars = _share_above(imp_sorted, taus), _share_above(gen_sorted, taus)
+        return _plateau_curve(fars, tars, taus, "false accept rate", "true accept rate")
 
     def fnir_fpir(self, thresholds="sweep", rank_cap: int | None = None) -> Curve:
         """Open-set miss/false-alarm trade-off as a (FPIR, FNIR) curve.
@@ -491,8 +508,7 @@ class IdentificationEval:
         curve reaches both axes; equal-FPIR points collapse to the lowest
         FNIR.
         """
-        if rank_cap is not None and rank_cap < 1:
-            raise ValueError(f"rank_cap must be positive, got {rank_cap}")
+        positive_rank("rank_cap", rank_cap)
         if not self.mate_rows.size:
             raise ProtocolError("no mate searches in the matrix")
         if not self.non_mate_rows.size:
@@ -515,34 +531,18 @@ class IdentificationEval:
         # count(x >= t) needs side="left"; count(x < t) is its complement.
         fpirs = (nm_sorted.size - np.searchsorted(nm_sorted, taus, side="left")) / nm_sorted.size
         fnirs = (np.searchsorted(in_cap_sorted, taus, side="left") + n_out) / n_mates
-        # fpirs is non-increasing along ascending taus, so the first occurrence
-        # of each FPIR value carries the plateau's smallest tau and FNIR.
-        unique_fpirs, first = np.unique(fpirs, return_index=True)
-        return Curve(
-            points=tuple(zip(unique_fpirs.tolist(), fnirs[first].tolist())),
-            x_label="false positive identification rate",
-            y_label="false negative identification rate",
-            thresholds=tuple(taus[first].tolist()),
-        )
-
-
-def _all_mate_eval(matrix: ScoreMatrix, manifest: ProtocolManifest) -> IdentificationEval:
-    """The evaluation of a matrix whose every row is a mate search."""
-    evaluation = IdentificationEval(matrix, manifest)
-    if evaluation.non_mate_rows.size:
-        non_mates = [matrix.probe_ids[i] for i in evaluation.non_mate_rows]
-        raise ProtocolError(f"non-mate searches cannot be ranked: {preview(non_mates)}")
-    return evaluation
+        return _plateau_curve(fpirs, fnirs, taus, "false positive identification rate",
+                              "false negative identification rate")
 
 
 def cmc(matrix: ScoreMatrix, manifest: ProtocolManifest, max_rank: int | None = None) -> Curve:
-    """IdentificationEval.cmc of an all-mate matrix."""
-    return _all_mate_eval(matrix, manifest).cmc(max_rank)
+    """IdentificationEval.cmc."""
+    return IdentificationEval(matrix, manifest).cmc(max_rank)
 
 
 def rank_k_accuracy(matrix: ScoreMatrix, manifest: ProtocolManifest, k: int) -> float:
-    """IdentificationEval.rank_k_accuracy of an all-mate matrix."""
-    return _all_mate_eval(matrix, manifest).rank_k_accuracy(k)
+    """IdentificationEval.rank_k_accuracy."""
+    return IdentificationEval(matrix, manifest).rank_k_accuracy(k)
 
 
 def tar_at_far(

@@ -39,6 +39,8 @@ BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _ID_LENGTH = struct.Struct("<I")
 BOX_FORMATS = ("xywh", "xyxy")
+# Text JSON lines, or binary BEMB records.
+EMBEDDING_FORMATS = ("text", "binary")
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -267,12 +269,14 @@ def load_ground_truth(path: str | Path, box_format: str = "xywh") -> GroundTruth
 def load_embeddings(path: str | Path, format: str | None = None) -> EmbeddingStore:
     """Load embeddings from a text (JSONL) or binary (BEMB) file; the format is
     sniffed (sniff_embedding_format) when not given."""
-    format = sniff_embedding_format(path) if format is None else format
-    if format == "text":
-        return _load_embeddings_text(path)
-    if format == "binary":
-        return _load_embeddings_binary(path)
-    raise ValueError(f"format must be 'text' or 'binary', got {format!r}")
+    format = sniff_embedding_format(path) if format is None else _embedding_format(format)
+    return _load_embeddings_text(path) if format == "text" else _load_embeddings_binary(path)
+
+
+def _embedding_format(format: str) -> str:
+    if format not in EMBEDDING_FORMATS:
+        raise ValueError(f"format must be one of {EMBEDDING_FORMATS}, got {format!r}")
+    return format
 
 
 def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
@@ -356,14 +360,12 @@ def _load_embeddings_binary(path: str | Path) -> EmbeddingStore:
 
 def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "text") -> None:
     """Write an embedding store; binary output is bit-exact under round-trips."""
-    if format == "text":
+    if _embedding_format(format) == "text":
         with open(path, "w", encoding="utf-8") as fh:
             for media_id, row in zip(store.media_ids, store.matrix):
                 obj = {"media_id": media_id, "vector": [float(v) for v in row]}
                 fh.write(json.dumps(obj) + "\n")
         return
-    if format != "binary":
-        raise ValueError(f"format must be 'text' or 'binary', got {format!r}")
     matrix = np.asarray(store.matrix, dtype=np.float32)
     if matrix.size and not np.all(np.isfinite(matrix)):
         raise FormatError("vector component overflows the 32-bit float range")

@@ -133,7 +133,8 @@ class ProtocolManifest:
 
     A probe whose true_subject_id is enrolled in the gallery is a mate
     search; any other probe (unknown or absent subject) is a non-mate
-    search. Distractor gallery subjects must have no mate probes.
+    search. Distractor gallery subjects must have no mate probes, and no
+    probe's medium may be a gallery medium.
     """
 
     gallery: tuple[GalleryEntry, ...]
@@ -154,6 +155,13 @@ class ProtocolManifest:
             raise ValidationError(
                 f"distractor subjects have mate probes: {preview(mated_distractors)}"
             )
+        enrolled_by = {m: e.subject_id for e in self.gallery for m in e.media_ids}
+        for p in self.probes:
+            if p.media_id in enrolled_by:
+                raise ValidationError(
+                    f"probe {p.probe_id!r} uses medium {p.media_id!r}, which is enrolled "
+                    f"in gallery subject {enrolled_by[p.media_id]!r}"
+                )
 
     @property
     def subject_ids(self) -> tuple[str, ...]:

@@ -145,7 +145,7 @@ def naive_tar(genuine, impostor, targets):
     out = []
     for f in targets:
         m = math.floor(f * n)
-        tau = ordered[m] if m < n else math.inf
+        tau = ordered[m] if m < n else -math.inf  # every score is accepted
         tar = sum(1 for g in genuine if g > tau) / len(genuine)
         far = sum(1 for s in impostor if s > tau) / n
         out.append((tau, tar, far))

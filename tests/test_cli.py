@@ -13,9 +13,14 @@ from biomeval.cli import main, round6
 from conftest import write_jsonl
 
 
+def _no_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
 def read_json(path):
+    """A JSON file parsed strictly: NaN, Infinity and -Infinity raise."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_no_constant)
 
 
 def media_index_rows(subjects=6, media_per_subject=5, frame_count=900, tag="alpha"):
@@ -367,7 +372,7 @@ class TestEvalId:
             key = name.split("-")[0]
             (tmp_path / f"{name}.json").write_text(json.dumps({key: value}), encoding="utf-8")
         cases = {
-            "inf": (["--far", "inf"], "FAR target must be finite and non-negative, got inf"),
+            "inf": (["--far", "inf"], "FAR target must lie in [0, 1], got inf"),
             "nan": (["--far", "0.1", "--far", "nan"], "got nan"),
             "rank": (["--rank", "0"], "ranks must be positive, got [0]"),
             "cfg": (["--config", str(tmp_path / "ranks.json")], "ranks must be positive, got [1, 0]"),
@@ -388,6 +393,40 @@ class TestEvalId:
             assert err.startswith("error: ") and expected in err, (name, err)
             assert err.count("\n") == 1 and "Traceback" not in err
             assert not out.exists()
+
+    def test_far_one_accepts_every_score(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        out = tmp_path / "out"
+        assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out), "--far", "0.5", "--far", "1"]) == 0
+        half, one = read_json(out / "identification_report.json")["tar_at_far"]
+        assert half["tar"] == 0.5 and half["threshold"] is not None
+        assert one == {"far_target": 1.0, "threshold": None, "tar": 1.0, "achieved_far": 1.0}
+        assert "  TAR@FAR<=1: 1.0 (threshold -inf)\n" in capsys.readouterr().out
+
+    def test_far_outside_unit_interval_exits_1_before_reading_inputs(self, toy_protocol_files,
+                                                                     tmp_path, capsys):
+        _, protocol_path = toy_protocol_files
+        missing = tmp_path / "no-such-embeddings.jsonl"
+        for far in (1.5, -0.5):
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"far": [0.01, far]}), encoding="utf-8")
+            for extra in (["--far", str(far)], ["--config", str(config_path)]):
+                out = tmp_path / "out"
+                code = main(["eval-id", "--emb", str(missing), "--protocol", str(protocol_path),
+                             "--out", str(out), *extra])
+                assert code == 1 and not out.exists()
+                assert capsys.readouterr().err == f"error: FAR target must lie in [0, 1], got {far}\n"
+
+    def test_probe_medium_enrolled_in_gallery_exits_1(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        _mistyped_protocol(protocol_path, ("probes", 2, "media_id", "gm2"))
+        out = tmp_path / "out"
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == ("error: probe 'p3' uses medium 'gm2', which is enrolled "
+                                           "in gallery subject 'g2'\n")
 
     def test_truncated_config_error_names_the_file_and_position(self, toy_protocol_files,
                                                                 tmp_path, capsys):

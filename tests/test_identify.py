@@ -403,22 +403,19 @@ class TestCmc:
         assert rank_k_accuracy(matrix, manifest, 1) == 0.0
         assert rank_k_accuracy(matrix, manifest, 2) == 1.0
 
-    def test_non_mate_probe_rejected(self):
-        matrix = ScoreMatrix(("p0",), ("a",), np.array([[0.5]]))
-        manifest = manifest_for(["a"], [None])
-        with pytest.raises(ProtocolError, match="non-mate"):
-            cmc(matrix, manifest)
-
-    def test_non_mate_list_is_bounded(self):
-        ids = tuple(f"p{i}" for i in range(20_000))
-        matrix = ScoreMatrix(ids, ("a",), np.zeros((20_000, 1)))
-        manifest = manifest_for(["a"], [None] * 20_000)
-        for metric in (cmc, lambda m, mf: rank_k_accuracy(m, mf, 1)):
-            with pytest.raises(ProtocolError) as info:
-                metric(matrix, manifest)
-            message = str(info.value)
-            assert message.endswith("'p9'] (first 10 of 20000)")
-            assert "p10" not in message and len(message) < 200
+    def test_module_function_equals_method_on_mixed_matrix(self):
+        """Non-mate rows are left out of the ranks, as IdentificationEval leaves them out."""
+        matrix = ScoreMatrix(
+            ("p0", "p1", "p2"), ("a", "b"), np.array([[0.9, 0.1], [0.5, 0.4], [0.3, 0.6]])
+        )
+        manifest = manifest_for(["a", "b"], ["a", None, "a"])
+        evaluation = IdentificationEval(matrix, manifest)
+        mates = matrix.subset(["p0", "p2"])
+        assert cmc(matrix, manifest) == evaluation.cmc() == cmc(mates, manifest)
+        assert cmc(matrix, manifest).y == (0.5, 1.0)
+        for k in (1, 2):
+            assert rank_k_accuracy(matrix, manifest, k) == evaluation.rank_k_accuracy(k)
+            assert rank_k_accuracy(matrix, manifest, k) == rank_k_accuracy(mates, manifest, k)
 
     def test_unknown_probe_rejected(self):
         matrix = ScoreMatrix(("zz",), ("a",), np.array([[0.5]]))
@@ -496,15 +493,17 @@ class TestTarAtFar:
 
     def test_non_finite_targets_rejected(self):
         matrix, manifest = self._matrix()
-        for bad in (math.inf, math.nan, -0.5):
-            with pytest.raises(ValueError, match="finite and non-negative"):
+        for bad in (math.inf, math.nan, -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 tar_at_far(matrix, manifest, [0.1, bad])
 
-    def test_huge_finite_target_accepts_nothing_above_inf(self):
+    def test_target_one_accepts_every_score(self):
         matrix, manifest = self._matrix()
-        (point,) = tar_at_far(matrix, manifest, [1e308])
-        assert point.threshold == math.inf
-        assert point.tar == 0.0 and point.achieved_far == 0.0
+        (point,) = tar_at_far(matrix, manifest, [1.0])
+        assert point.threshold == -math.inf and point.as_dict()["threshold"] is None
+        assert point.tar == 1.0 and point.achieved_far == 1.0
+        with pytest.raises(ValueError, match="got 1e[+]308"):
+            tar_at_far(matrix, manifest, [1e308])
 
     def test_default_targets(self):
         assert DEFAULT_FAR_TARGETS == (1e-4, 1e-3, 1e-2, 1e-1)
@@ -518,7 +517,7 @@ class TestTarAtFar:
 
     def test_monotone_in_target_and_far_bounded(self):
         rng = np.random.default_rng(85)
-        targets = (0.001, 0.01, 0.1, 0.3, 0.8)
+        targets = (0.0, 0.001, 0.01, 0.1, 0.3, 0.8, 1.0)
         for _ in range(100):
             gallery_media, probe_vectors, probe_mates = random_protocol(rng, 12, 20, dim=4)
             matrix, manifest = build_matrix_and_manifest(gallery_media, probe_vectors, probe_mates)
@@ -697,7 +696,7 @@ class TestIdentificationEval:
         assert _metrics(IdentificationEval(shuffled, manifest)) == base
 
     @settings(max_examples=60, deadline=None)
-    @given(mixed_protocols(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=5))
+    @given(mixed_protocols(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
     def test_context_equals_module_functions(self, case, targets):
         matrix, manifest = case
         evaluation = IdentificationEval(matrix, manifest)

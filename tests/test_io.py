@@ -617,9 +617,10 @@ class TestProtocolAndMedia:
                            max_size=5, unique_by=lambda entry: entry[0]))
     def test_protocol_dumped_as_json_loads_back_equal(self, gallery, probes):
         """A None distractor leaves the key out, which reads as false; an integer
-        true subject names a gallery subject, so some probes are mates."""
+        true subject names a gallery subject, so some probes are mates. Gallery
+        and probe media ids get distinct prefixes, as no probe may use a gallery medium."""
         doc = {
-            "gallery": [dict({"subject_id": subject, "media_ids": media},
+            "gallery": [dict({"subject_id": subject, "media_ids": [f"g{m}" for m in media]},
                              **({} if flag is None else {"distractor": flag}))
                         for subject, media, flag in gallery],
             "probes": [],
@@ -630,7 +631,8 @@ class TestProtocolAndMedia:
                 subject = gallery[subject % len(gallery)][0] if gallery else None
             if subject in distractors:
                 subject = None
-            doc["probes"].append({"probe_id": probe_id, "media_id": media, "true_subject_id": subject})
+            doc["probes"].append({"probe_id": probe_id, "media_id": f"p{media}",
+                                  "true_subject_id": subject})
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "p.json"
             path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")

@@ -99,6 +99,13 @@ class TestProtocolManifest:
                 probes=(ProbeEntry("p1", "pm1", "g1"),),
             )
 
+    def test_probe_medium_enrolled_in_gallery_rejected(self):
+        gallery = (GalleryEntry("g1", ("m1",)), GalleryEntry("g2", ("m2", "m3")))
+        probes = (ProbeEntry("p1", "pm1", "g1"), ProbeEntry("p2", "m3", None))
+        with pytest.raises(ValidationError) as info:
+            ProtocolManifest(gallery=gallery, probes=probes)
+        assert str(info.value) == "probe 'p2' uses medium 'm3', which is enrolled in gallery subject 'g2'"
+
     def test_mated_distractor_list_is_bounded(self):
         gallery = tuple(GalleryEntry(f"d{i:05d}", ("m",), distractor=True) for i in range(20_000))
         probes = tuple(ProbeEntry(f"p{i}", "pm", f"d{i:05d}") for i in range(20_000))
