@@ -72,7 +72,6 @@ from .losses import (
 from .records import (
     BoundingBox,
     DetectionRecord,
-    EmbeddingRecord,
     GalleryEntry,
     GroundTruthRecord,
     MediaRecord,

@@ -138,12 +138,13 @@ class RunOutputs:
     summary: str
 
 
-def _replace(path: Path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then move it onto path."""
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside path, for the caller to write; then move it
+    onto path. On any failure the temporary file is removed and path is untouched."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -171,9 +172,9 @@ def _write_run(outputs: RunOutputs) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run.out_dir / "run_manifest.json"
     manifest_path.unlink(missing_ok=True)
-    for name, data in outputs.artefacts.items():
-        _replace(run.out_dir / name, data)
-    _replace(manifest_path, manifest)
+    for name, data in (*outputs.artefacts.items(), (manifest_path.name, manifest)):
+        with _replacing(run.out_dir / name) as tmp:
+            tmp.write_bytes(data)
     sys.stdout.write(outputs.summary)
 
 
@@ -517,7 +518,8 @@ def _cmd_convert_emb(args) -> int:
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_embeddings(store, out_path, format=target)
+    with _replacing(out_path) as tmp:
+        write_embeddings(store, tmp, format=target)
     print(f"converted {len(store)} embeddings ({source} -> {target}) to {out_path}")
     return 0
 

@@ -8,14 +8,18 @@ Formats:
 Every file is decoded by one rule (_decode_utf8): a byte that is not UTF-8 fails
 with its line and its byte within that line. Every field is read by one rule
 (_field): ids and tags are JSON strings, and a value of another JSON type is an
-error that names its line or protocol entry.
+error that names its line or protocol entry. Detections and ground truth are
+turned into typed columns a block of lines at a time, and text embeddings into
+matrix rows a line at a time, so a file is never held as Python objects whole.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -24,7 +28,6 @@ import numpy as np
 from .errors import FormatError, ParseError, ValidationError, brief, json_error
 from .records import (
     BoundingBox,
-    EmbeddingRecord,
     GalleryEntry,
     MediaRecord,
     ProbeEntry,
@@ -41,6 +44,8 @@ _ID_LENGTH = struct.Struct("<I")
 BOX_FORMATS = ("xywh", "xyxy")
 # Text JSON lines, or binary BEMB records.
 EMBEDDING_FORMATS = ("text", "binary")
+# Lines of a detections or ground-truth file that are turned into columns at once.
+_BLOCK_LINES = 4096
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -217,35 +222,58 @@ def _checked_columns(store_type: type, box_format: str, media, frames, box, labe
     return (frames, np.stack([x, y, w, h]), labels) if ok.all() else None
 
 
-def _load_annotations(path: str | Path, box_format: str, store_type: type):
-    """Detections or ground truth, read into columns that are checked at once.
+def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
+    """One block's media ids, frames, x/y/w/h array, labels and tags if every line is
+    a valid record, else None. Media ids and tags go through `strings`, so each
+    distinct string is held once."""
+    media, frames, *box, labels, tags = (
+        [obj.get(key) for obj in objs]
+        for key in ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
+    )
+    checked = _checked_columns(store_type, box_format, media, frames, box, labels, tags)
+    if checked is None:
+        return None
+    intern = strings.setdefault
+    return ([intern(m, m) for m in media], *checked,
+            [None if tag is None else intern(tag, tag) for tag in tags])
 
-    If that check fails, the file is read again line by line as records
-    (_annotation_record), which raises the error of its first faulty line.
+
+def _load_annotations(path: str | Path, box_format: str, store_type: type):
+    """Detections or ground truth, read _BLOCK_LINES lines at a time into columns that
+    are checked block by block, so the Python objects held are one block's.
+
+    Every rule of the column check is per line, so the blocks pass exactly when
+    the whole file would. If a block fails, the file is read again from line 1
+    as records (_annotation_record), which raises the error of its first faulty line.
     """
     if box_format not in BOX_FORMATS:
         raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
-    keys = ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
-    columns = tuple([] for _ in keys)
-    fields = tuple(zip(keys, [column.append for column in columns]))
-    checked = None
+    media, frames, boxes, labels, tags, strings = [], [], [], [], [], {}
+    lines = _iter_jsonl(path)
     try:
-        for _, obj in _iter_jsonl(path):
-            get = obj.get
-            for key, append in fields:
-                append(get(key))
+        while True:
+            objs = [obj for _, obj in islice(lines, _BLOCK_LINES)]
+            block = _block_columns(store_type, box_format, objs, strings)
+            if block is None:
+                break
+            media += block[0]
+            frames += block[1]
+            boxes.append(block[2])
+            labels.append(block[3])
+            tags += block[4]
+            if len(objs) < _BLOCK_LINES:
+                break
     except ParseError:
-        pass
-    else:
-        media, frames, *box, labels, tags = columns
-        checked = _checked_columns(store_type, box_format, media, frames, box, labels, tags)
-    if checked is None:
+        block = None
+    lines.close()
+    if block is None:
         for lineno, obj in _iter_jsonl(path):
             _annotation_record(store_type, obj, lineno, box_format)
         # The column check accepts exactly the files whose every line is a valid record.
         raise AssertionError(f"{path}: the column check failed a file with no faulty line")
     media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
-    return store_type.from_columns(media, *checked, media_tags=media_tags)
+    return store_type.from_columns(media, frames, np.concatenate(boxes, axis=1),
+                                   np.concatenate(labels), media_tags=media_tags)
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:
@@ -280,27 +308,43 @@ def _embedding_format(format: str) -> str:
 
 
 def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
-    """Every vector has the first record's dimension; a fault names the first faulty line."""
-    records, first = [], None
-    for lineno, obj in _iter_jsonl(path):
-        vector = _field(obj, "vector", lineno)
-        if not isinstance(vector, list):
-            raise ParseError("key 'vector' must be an array of numbers", line=lineno)
-        if set(map(type, vector)) - {float}:  # ints to widen, or a component to reject
-            for i, value in enumerate(vector):
-                if _number(value) is not None:
-                    raise _mistyped(value, f"vector[{i}]", lineno, _number)
-        media_id = _field(obj, "media_id", lineno, _string)
-        try:
-            rec = EmbeddingRecord(media_id=media_id, vector=tuple(map(float, vector)))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        first = first or (lineno, rec.dim)
-        if rec.dim != first[1]:
-            raise ValidationError(f"line {lineno}: embedding dimension {rec.dim} differs "
-                                  f"from line {first[0]}'s {first[1]}")
-        records.append(rec)
-    return EmbeddingStore(records)
+    """Every vector has the first record's dimension; a fault names the first faulty line.
+
+    Each line's vector is checked, then written as a float64 row of one matrix
+    (np.fromiter grows it in place), so the Python floats held are one line's.
+    """
+    media_ids: list[str] = []
+    first = None
+
+    def vectors():
+        nonlocal first
+        for lineno, obj in _iter_jsonl(path):
+            vector = _field(obj, "vector", lineno)
+            if not isinstance(vector, list):
+                raise ParseError("key 'vector' must be an array of numbers", line=lineno)
+            if set(map(type, vector)) - {float}:  # ints to widen, or a component to reject
+                for i, value in enumerate(vector):
+                    if _number(value) is not None:
+                        raise _mistyped(value, f"vector[{i}]", lineno, _number)
+            media_id = _field(obj, "media_id", lineno, _string)
+            if not vector:
+                raise ValidationError(f"line {lineno}: embedding for {media_id!r} is empty")
+            if not all(map(math.isfinite, vector)):
+                raise ValidationError(f"line {lineno}: embedding for {media_id!r} "
+                                      "has non-finite components")
+            first = first or (lineno, len(vector))
+            if len(vector) != first[1]:
+                raise ValidationError(f"line {lineno}: embedding dimension {len(vector)} differs "
+                                      f"from line {first[0]}'s {first[1]}")
+            media_ids.append(media_id)
+            yield vector
+
+    rows = vectors()
+    head = next(rows, None)
+    if head is None:
+        return EmbeddingStore(media_ids, np.empty((0, 0)))
+    matrix = np.fromiter(chain((head,), rows), dtype=np.dtype((np.float64, (len(head),))))
+    return EmbeddingStore(media_ids, matrix)
 
 
 def _load_embeddings_binary(path: str | Path) -> EmbeddingStore:
@@ -353,9 +397,7 @@ def _load_embeddings_binary(path: str | Path) -> EmbeddingStore:
     matrix = np.empty((count, dim), dtype=np.float64)
     for row, offset in zip(matrix, offsets):
         row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-    # Looked up on the stores module: perfbench/trace_child.py replaces this
-    # module's EmbeddingStore name with a timing function that has no from_matrix.
-    return _stores.EmbeddingStore.from_matrix(ids, matrix)
+    return EmbeddingStore(ids, matrix)
 
 
 def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "text") -> None:

@@ -1,8 +1,7 @@
-"""Domain types: boxes, annotation records, embeddings, protocols."""
+"""Domain types: boxes, annotation records, media, protocols."""
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,22 +93,6 @@ class MediaRecord:
 
 
 @dataclass(frozen=True)
-class EmbeddingRecord:
-    media_id: str
-    vector: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.vector) == 0:
-            raise ValidationError(f"embedding for {self.media_id!r} is empty")
-        if not all(math.isfinite(v) for v in self.vector):
-            raise ValidationError(f"embedding for {self.media_id!r} has non-finite components")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vector)
-
-
-@dataclass(frozen=True)
 class GalleryEntry:
     subject_id: str
     media_ids: tuple[str, ...]
@@ -133,8 +116,9 @@ class ProtocolManifest:
 
     A probe whose true_subject_id is enrolled in the gallery is a mate
     search; any other probe (unknown or absent subject) is a non-mate
-    search. Distractor gallery subjects must have no mate probes, and no
-    probe's medium may be a gallery medium.
+    search. Distractor gallery subjects must have no mate probes, a medium
+    is enrolled under at most one gallery subject, and no probe's medium
+    may be a gallery medium.
     """
 
     gallery: tuple[GalleryEntry, ...]
@@ -155,7 +139,15 @@ class ProtocolManifest:
             raise ValidationError(
                 f"distractor subjects have mate probes: {preview(mated_distractors)}"
             )
-        enrolled_by = {m: e.subject_id for e in self.gallery for m in e.media_ids}
+        enrolled_by: dict[str, str] = {}
+        for e in self.gallery:
+            for m in e.media_ids:
+                subject = enrolled_by.setdefault(m, e.subject_id)
+                if subject != e.subject_id:
+                    raise ValidationError(
+                        f"medium {m!r} is enrolled in gallery subjects {subject!r} "
+                        f"and {e.subject_id!r}"
+                    )
         for p in self.probes:
             if p.media_id in enrolled_by:
                 raise ValidationError(

@@ -16,7 +16,6 @@ from .errors import ValidationError, duplicates, preview
 from .records import (
     BoundingBox,
     DetectionRecord,
-    EmbeddingRecord,
     GroundTruthRecord,
     MediaRecord,
     ProtocolManifest,
@@ -165,32 +164,14 @@ class GroundTruthStore(AnnotationStore):
 class EmbeddingStore:
     """Fixed-dimension feature vectors keyed by media_id.
 
-    All vectors share one dimension; the backing matrix is read-only.
-    Build one from records, or from ids and a ready matrix with from_matrix;
-    both go through the same checks.
+    Row i of a (count, dim) matrix is the vector of media_ids[i]. The store
+    takes ownership of the matrix (no copy when it is already float64) and
+    marks it read-only.
     """
 
-    def __init__(self, records: Iterable[EmbeddingRecord]):
-        records = tuple(records)
-        dims = {rec.dim for rec in records}
-        if len(dims) > 1:
-            raise ValidationError(f"embedding dimensions disagree: {sorted(dims)}")
-        matrix = np.array([rec.vector for rec in records], dtype=np.float64)
-        matrix = matrix.reshape(len(records), dims.pop() if dims else 0)
-        self._adopt(tuple(rec.media_id for rec in records), matrix)
-
-    @classmethod
-    def from_matrix(cls, media_ids: Iterable[str], matrix: np.ndarray) -> EmbeddingStore:
-        """Store row i of a (count, dim) matrix under media_ids[i].
-
-        The store takes ownership of the matrix (no copy when it is already
-        float64) and marks it read-only.
-        """
-        store = cls.__new__(cls)
-        store._adopt(tuple(media_ids), np.asarray(matrix, dtype=np.float64))
-        return store
-
-    def _adopt(self, ids: tuple[str, ...], matrix: np.ndarray) -> None:
+    def __init__(self, media_ids: Iterable[str], matrix: np.ndarray):
+        ids = tuple(media_ids)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValidationError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
         if matrix.shape[0] != len(ids):

@@ -34,7 +34,6 @@ from biomeval import (
 from biomeval.cli import main
 from biomeval.identify import IdentificationEval
 from biomeval.io import load_embeddings
-from biomeval.records import EmbeddingRecord
 from biomeval.sampling import dataset_balanced_weights, pk_batches, sample_media
 from biomeval.stores import DetectionStore, EmbeddingStore, GroundTruthStore
 
@@ -322,16 +321,11 @@ def test_c9_binary_format_round_trip(tmp_path):
     for trial in range(100):
         dim = int(rng.integers(1, 65))
         count = int(rng.integers(0, 30))
-        records = [
-            EmbeddingRecord(
-                f"t{trial}/m{i}",
-                tuple(float(np.float32(v)) for v in rng.normal(scale=10.0, size=dim)),
-            )
-            for i in range(count)
-        ]
+        matrix = rng.normal(scale=10.0, size=(count, dim)).astype(np.float32)
+        store = EmbeddingStore([f"t{trial}/m{i}" for i in range(count)], matrix)
         first = tmp_path / "first.bemb"
         second = tmp_path / "second.bemb"
-        write_embeddings(EmbeddingStore(records), first, format="binary")
+        write_embeddings(store, first, format="binary")
         write_embeddings(load_embeddings(first, format="binary"), second, format="binary")
         assert first.read_bytes() == second.read_bytes()
     _report("criterion 9 binary embedding round-trip bit-exact on 100 stores")

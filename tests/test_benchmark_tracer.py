@@ -1,10 +1,11 @@
 """The benchmark's tracer (perfbench/trace_child.py) still finds every name it wraps.
 
 The tracer replaces names in biomeval.cli and biomeval.io with timing shims
-that have none of the wrapped objects' attributes (no from_columns, no
-from_matrix). A traced run that exits 0, reports no missing name and writes
-the golden reports shows that the package calls through those names and
-looks the store classes up on biomeval.stores.
+that have none of the wrapped objects' attributes (no from_columns). A traced
+run that exits 0, reports no missing name and writes the golden reports shows
+that the package calls through those names, builds embedding stores through
+biomeval.io's EmbeddingStore name, and looks the annotation store classes up
+on biomeval.stores.
 """
 
 import json
@@ -25,7 +26,8 @@ DET_GOLDEN = DATA / "det_golden"
     (["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"), "--protocol", str(ID_GOLDEN / "protocol.json"),
       "--aggregate", "max_score", "--metric", "neg_euclidean", "--rank-cap", "5"],
      ID_GOLDEN / "max_score",
-     {"io.sniff_embedding_format", "io.load_embeddings", "io.load_protocol", "identify.score"}),
+     {"io.sniff_embedding_format", "io.load_embeddings", "stores.EmbeddingStore", "io.load_protocol",
+      "identify.score"}),
     (["eval-det", "--det", str(DET_GOLDEN / "detections.jsonl"), "--gt", str(DET_GOLDEN / "ground_truth.jsonl"),
       "--media", str(DET_GOLDEN / "media.jsonl"), "--box-format", "xywh"],
      DET_GOLDEN / "xywh",

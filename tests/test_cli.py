@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biomeval import load_embeddings
+from biomeval import cli, load_embeddings
 from biomeval.cli import main, round6
 
 from conftest import write_jsonl
@@ -466,6 +466,16 @@ class TestEvalId:
         assert capsys.readouterr().err == ("error: gallery[0].media_ids must be a non-empty list "
                                            "of distinct strings, got ['gm1', 'gm1']\n")
 
+    def test_medium_under_two_gallery_subjects_exits_1(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        _mistyped_protocol(protocol_path, ("gallery", 1, "media_ids", ["gm2", "gm1"]))
+        out = tmp_path / "out"
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--aggregate", "max_score", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == ("error: medium 'gm1' is enrolled in gallery subjects "
+                                           "'g1' and 'g2'\n")
+
     def test_embedding_format_is_not_an_option(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         base = ["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
@@ -736,6 +746,29 @@ class TestConvertEmb:
         main(["convert-emb", "--emb", str(emb_path), "--format", "binary", "--out", str(first)])
         main(["convert-emb", "--emb", str(first), "--format", "binary", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+    def test_failed_write_leaves_no_output_and_no_temporary_file(self, tmp_path, capsys,
+                                                                 monkeypatch, toy_protocol_files):
+        emb_path, _ = toy_protocol_files
+        out = tmp_path / "conv" / "e.bemb"
+        out.parent.mkdir()
+        out.write_bytes(b"an earlier conversion")
+
+        def write_then_fail(store, path, format):
+            Path(path).write_bytes(b"BEMB" + b"\x00" * 10)  # a part of the file
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_embeddings", write_then_fail)
+        code = main(["convert-emb", "--emb", str(emb_path), "--format", "binary", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert os.listdir(out.parent) == ["e.bemb"]
+        assert out.read_bytes() == b"an earlier conversion"
+        out.unlink()
+        assert main(["convert-emb", "--emb", str(emb_path), "--format", "binary",
+                     "--out", str(out)]) == 1
+        assert os.listdir(out.parent) == []
 
 
 def _assert_no_child_left():
@@ -1029,3 +1062,18 @@ class TestRunWriter:
         moves = [name for kind, name in events[1:-1]]
         assert [kind for kind, _ in events[1:-1]] == ["moved"] * len(moves)
         assert sorted(moves) == sorted(p.name for p in out.iterdir())
+
+
+def test_cli_import_loads_no_heavy_module():
+    """`import biomeval.cli` is paid by every run; these modules would add to it."""
+    heavy = ("concurrent.futures", "multiprocessing", "asyncio", "scipy", "orjson")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys, biomeval.cli; "
+         f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert json.loads(done.stdout) == []

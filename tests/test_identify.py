@@ -51,7 +51,7 @@ def manifest_for(subjects, probe_mates):
 
 def test_missing_media_lists_are_bounded():
     manifest = manifest_for([f"g{i:02d}" for i in range(30)], [None] * 12)
-    embeddings = EmbeddingStore.from_matrix(["unused"], np.ones((1, 2)))
+    embeddings = EmbeddingStore(["unused"], np.ones((1, 2)))
     with pytest.raises(ProtocolError, match=r"'g09-media'\] \(first 10 of 42\)$"):
         build_gallery_templates(manifest, embeddings)
     with pytest.raises(ProtocolError, match=r"\(first 10 of 12\)$"):
@@ -132,7 +132,7 @@ class TestGallery:
         rng = np.random.default_rng(84)
         counts = [3, 1, 5, 2, 3, 4, 1]
         ids = [f"m{i}" for i in range(sum(counts))]
-        embeddings = EmbeddingStore.from_matrix(ids, rng.normal(size=(len(ids), 6)))
+        embeddings = EmbeddingStore(ids, rng.normal(size=(len(ids), 6)))
         shuffled = rng.permutation(ids).tolist()
         entries, media = [], {}
         for j, k in enumerate(counts):

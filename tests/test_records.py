@@ -6,7 +6,6 @@ import pytest
 from biomeval import (
     BoundingBox,
     DetectionRecord,
-    EmbeddingRecord,
     GalleryEntry,
     GroundTruthRecord,
     MediaRecord,
@@ -67,13 +66,6 @@ class TestRecords:
         with pytest.raises(ValidationError):
             MediaRecord("m", "s", "tag", "hologram", 1)
 
-    def test_embedding_record_finite(self):
-        EmbeddingRecord("m", (1.0, 2.0))
-        with pytest.raises(ValidationError):
-            EmbeddingRecord("m", (1.0, math.inf))
-        with pytest.raises(ValidationError):
-            EmbeddingRecord("m", ())
-
 
 class TestProtocolManifest:
     def test_duplicate_gallery_subjects_rejected(self):
@@ -105,6 +97,14 @@ class TestProtocolManifest:
         with pytest.raises(ValidationError) as info:
             ProtocolManifest(gallery=gallery, probes=probes)
         assert str(info.value) == "probe 'p2' uses medium 'm3', which is enrolled in gallery subject 'g2'"
+
+    def test_medium_enrolled_under_two_subjects_rejected(self):
+        # Two templates sharing a medium tie, and each one's mate rank drops.
+        gallery = (GalleryEntry("a", ("m1",)), GalleryEntry("b", ("m1", "m2")))
+        probes = (ProbeEntry("p1", "pm1", "a"), ProbeEntry("p2", "pm2", "b"))
+        with pytest.raises(ValidationError) as info:
+            ProtocolManifest(gallery=gallery, probes=probes)
+        assert str(info.value) == "medium 'm1' is enrolled in gallery subjects 'a' and 'b'"
 
     def test_mated_distractor_list_is_bounded(self):
         gallery = tuple(GalleryEntry(f"d{i:05d}", ("m",), distractor=True) for i in range(20_000))
@@ -145,45 +145,34 @@ class TestStores:
         assert len(store.at("m", 0)) == 2
         assert store.at("m", 1) == ()
 
-    def test_embedding_store_dimension_check(self):
-        with pytest.raises(ValidationError):
-            EmbeddingStore([EmbeddingRecord("a", (1.0,)), EmbeddingRecord("b", (1.0, 2.0))])
-
     def test_embedding_store_matrix_read_only(self):
-        store = EmbeddingStore([EmbeddingRecord("a", (1.0, 2.0))])
+        store = EmbeddingStore(["a"], np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             store.matrix[0, 0] = 5.0
         assert store.vector("a").tolist() == [1.0, 2.0]
         with pytest.raises(KeyError):
             store.vector("missing")
 
-    def test_from_matrix_equals_records_store(self):
-        rows = [(1.0, 2.0), (3.0, -4.0)]
-        records = EmbeddingStore([EmbeddingRecord(m, r) for m, r in zip("ab", rows)])
-        store = EmbeddingStore.from_matrix(["a", "b"], np.array(rows))
-        assert store == records
-        assert not store.matrix.flags.writeable
-
     def test_from_matrix_checks(self):
         with pytest.raises(ValidationError, match="2-D"):
-            EmbeddingStore.from_matrix(["a"], np.ones(3))
+            EmbeddingStore(["a"], np.ones(3))
         with pytest.raises(ValidationError, match="2 media ids for an embedding matrix of 3 rows"):
-            EmbeddingStore.from_matrix(["a", "b"], np.ones((3, 2)))
+            EmbeddingStore(["a", "b"], np.ones((3, 2)))
         with pytest.raises(ValidationError, match="record 0: embedding for 'a' is empty"):
-            EmbeddingStore.from_matrix(["a"], np.ones((1, 0)))
+            EmbeddingStore(["a"], np.ones((1, 0)))
         matrix = np.ones((4, 2))
         matrix[2, 1] = np.inf
         matrix[3, 0] = np.nan
         with pytest.raises(ValidationError, match="record 2: embedding for 'c' has non-finite"):
-            EmbeddingStore.from_matrix(["a", "b", "c", "d"], matrix)
+            EmbeddingStore(["a", "b", "c", "d"], matrix)
         with pytest.raises(ValidationError, match=r"duplicate embedding media ids: \['a'\]"):
-            EmbeddingStore.from_matrix(["a", "b", "a"], np.ones((3, 2)))
+            EmbeddingStore(["a", "b", "a"], np.ones((3, 2)))
 
     def test_duplicate_ids_rejected_in_one_pass_with_bounded_message(self):
         # 20k ids with 25 duplicated; a count() per id took seconds here.
         ids = [f"m{i}" for i in range(20_000)] + [f"m{i}" for i in range(25)]
         with pytest.raises(ValidationError) as info:
-            EmbeddingStore.from_matrix(ids, np.zeros((len(ids), 1)))
+            EmbeddingStore(ids, np.zeros((len(ids), 1)))
         message = str(info.value)
         assert "'m0', 'm1', 'm10', 'm11'" in message
         assert "(first 10 of 25)" in message and "'m9'" not in message
@@ -207,9 +196,7 @@ class TestStores:
 class TestValidateProtocol:
     def _embeddings(self, ids, dim=2):
         rng = np.random.default_rng(7)
-        return EmbeddingStore(
-            [EmbeddingRecord(m, tuple(rng.normal(size=dim).tolist())) for m in ids]
-        )
+        return EmbeddingStore(ids, rng.normal(size=(len(ids), dim)))
 
     def test_all_media_present(self):
         manifest = ProtocolManifest(
