@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, brief, no_repeats
+from .errors import ValidationError, brief, no_repeats, preview
 from .records import BoundingBox, DetectionRecord, GroundTruthRecord
 from .stores import DetectionStore, GroundTruthStore, box_columns, merge_media_tags
 
@@ -119,8 +119,13 @@ def match_frame(
     area, then input order); each claims the still-unmatched ground truth
     of highest IoU (ties: the earlier one), provided that IoU reaches the
     threshold. Matched predictions are tp, leftover predictions fp,
-    leftover ground truths fn.
+    leftover ground truths fn. The threshold is checked by iou_threshold, and
+    every record must share one (media_id, frame).
     """
+    threshold = iou_threshold(threshold)
+    frames = sorted({(rec.media_id, rec.frame) for rec in (*preds, *gts)})
+    if len(frames) > 1:
+        raise ValidationError(f"match_frame takes one frame's records, got {preview(frames)}")
     scores = np.array([rec.score for rec in preds], dtype=np.float64)
     (rows,) = _match(np.zeros(len(preds), dtype=np.int64), box_columns(preds), scores,
                      np.zeros(len(gts), dtype=np.int64), box_columns(gts), (threshold,))
@@ -204,7 +209,7 @@ def evaluate_detections(
     thresholds = iou_thresholds(thresholds)
     tags = merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
 
-    frames = sorted(set(dets.frames()) | set(gts.frames()))
+    frames = sorted(set(zip(dets.media_ids, dets.frames)).union(zip(gts.media_ids, gts.frames)))
     for media_id, _ in frames:
         if tags.get(media_id) is None:
             raise ValidationError(f"media {media_id!r} has no dataset_tag in the media index")
@@ -214,14 +219,17 @@ def evaluate_detections(
     position = {key: k for k, key in enumerate(frames)}
 
     def row_frames(store) -> np.ndarray:
-        keys = np.array([position[key] for key in store.frames()], dtype=np.int64)
-        return np.repeat(keys, np.diff(store.offsets))
+        keys = map(position.__getitem__, zip(store.media_ids, store.frames))
+        return np.fromiter(keys, dtype=np.int64, count=len(store))
 
     def group_counts(row_frame: np.ndarray) -> list[int]:
         return np.bincount(frame_group[row_frame], minlength=len(groups)).tolist()
 
+    # Within a frame both stores keep file order, which _match's tie rules read.
     pred_frame, gt_frame = row_frames(dets), row_frames(gts)
-    matched = _match(pred_frame, dets.boxes, dets.labels, gt_frame, gts.boxes, thresholds)
+    gt_order = np.argsort(gt_frame, kind="stable")
+    matched = _match(pred_frame, dets.boxes, dets.labels,
+                     gt_frame[gt_order], gts.boxes[:, gt_order], thresholds)
     per_group: dict[tuple[str, float], MatchCounts] = {}
     pooled: dict[float, MatchCounts] = {thr: MatchCounts() for thr in thresholds}
     for thr, rows in zip(thresholds, matched):

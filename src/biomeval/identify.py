@@ -14,6 +14,7 @@ import io
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -364,9 +365,11 @@ def far_targets(values) -> tuple[float, ...]:
 
 
 def positive_rank(name: str, value):
-    """The rank rule: a rank, or each rank of a list, is at least 1; None (no rank) passes.
-    Returns value unchanged."""
+    """The rank rule: a rank, or each rank of a list, is an integer (not a bool) of at
+    least 1; None (no rank) passes. Returns value unchanged."""
     ranks = value if isinstance(value, list) else [] if value is None else [value]
+    if any(isinstance(k, bool) or not isinstance(k, Integral) for k in ranks):
+        raise ValueError(f"{name} must be an integer, got {brief(value)}")
     if any(k < 1 for k in ranks):
         raise ValueError(f"{name} must be positive, got {brief(value)}")
     return value

@@ -272,8 +272,8 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
         # The column check accepts exactly the files whose every line is a valid record.
         raise AssertionError(f"{path}: the column check failed a file with no faulty line")
     media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
-    return store_type.from_columns(media, frames, np.concatenate(boxes, axis=1),
-                                   np.concatenate(labels), media_tags=media_tags)
+    return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
+                      media_tags=media_tags)
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:
@@ -285,7 +285,8 @@ def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStor
     Faults raise an error naming the first faulty line.
     """
     # The store classes are looked up on the stores module: perfbench/trace_child.py
-    # replaces this module's store names with timing functions that have no from_columns.
+    # replaces this module's store names with timing functions that lack the class
+    # attributes (label, label_dtype, record_type) the loader reads.
     return _load_annotations(path, box_format, _stores.DetectionStore)
 
 

@@ -6,7 +6,6 @@ yields stores that compare equal.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,50 +43,40 @@ def box_columns(records: Iterable) -> np.ndarray:
 
 
 class AnnotationStore:
-    """Boxes of one record kind, grouped by (media_id, frame) and held column by column.
+    """Boxes of one record kind, held column by column in input (file) order.
 
-    Rows are sorted by (media_id, frame), in input order within a frame;
-    frames()[k] owns rows offsets[k]:offsets[k + 1]. boxes holds read-only
-    float64 x, y, w, h arrays in row order, labels the records' last field
-    (float64 scores or subject ids). Frame numbers stay Python ints, so
-    they never overflow.
+    Row i is media_ids[i], frames[i], column i of boxes (a read-only (4, n)
+    float64 array of x, y, w, h rows) and labels[i] (float64 scores or
+    subject ids). Frame numbers stay Python ints, so they never overflow.
+    The store takes ownership of the boxes (no copy when they are already
+    float64) and of a labels array, and marks them read-only.
     """
 
     record_type: type
     label: str
     label_dtype: type
 
-    def __init__(self, records: Iterable, media_tags: Mapping[str, str | None] | None = None):
-        records = tuple(records)
-        self._adopt([rec.media_id for rec in records], [rec.frame for rec in records],
-                    box_columns(records), [getattr(rec, self.label) for rec in records], media_tags)
-        self._records = records
-
-    @classmethod
-    def from_columns(cls, media_ids: list[str], frames: list[int], boxes: np.ndarray,
-                     labels, media_tags: Mapping[str, str | None] | None = None):
-        """A store over valid records' fields: per row a media id, a frame, a column of
-        the (4, n) x/y/w/h array and a label."""
-        store = cls.__new__(cls)
-        store._adopt(media_ids, frames, boxes, labels, media_tags)
-        return store
-
-    def _adopt(self, media_ids, frames, boxes, labels, media_tags) -> None:
-        keys = list(zip(media_ids, frames))
-        self._frames = tuple(sorted(set(keys)))
-        rank = {key: k for k, key in enumerate(self._frames)}
-        row_frame = np.array([rank[key] for key in keys], dtype=np.int64)
-        order = np.argsort(row_frame, kind="stable")
-        self.offsets = np.searchsorted(row_frame[order], np.arange(len(self._frames) + 1))
-        self.boxes = tuple(np.asarray(column, dtype=np.float64)[order] for column in boxes)
-        self.labels = np.fromiter(labels, dtype=self.label_dtype, count=len(order))[order]
-        self._order = order
-        self._media_tags = merge_media_tags(dict.fromkeys(media_ids), media_tags or {})
-        self._records = None
+    def __init__(self, media_ids: Sequence[str], frames: Sequence[int], boxes, labels,
+                 media_tags: Mapping[str, str | None] | None = None):
+        self.media_ids, self.frames = tuple(media_ids), tuple(frames)
+        self.boxes = np.asarray(boxes, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=self.label_dtype)
+        n = len(self.media_ids)
+        if len(self.frames) != n or self.boxes.shape != (4, n) or self.labels.shape != (n,):
+            raise ValidationError(f"columns disagree: {n} media ids, {len(self.frames)} frames, "
+                                  f"boxes {self.boxes.shape}, labels {self.labels.shape}")
+        self._media_tags = merge_media_tags(dict.fromkeys(self.media_ids), media_tags or {})
         self._freeze()
 
+    @classmethod
+    def from_records(cls, records: Iterable, media_tags: Mapping[str, str | None] | None = None):
+        """A store of the records, in their order."""
+        records = tuple(records)
+        return cls([rec.media_id for rec in records], [rec.frame for rec in records],
+                   box_columns(records), [getattr(rec, cls.label) for rec in records], media_tags)
+
     def _freeze(self) -> None:
-        for array in (self.offsets, *self.boxes, self.labels):
+        for array in (self.boxes, self.labels):
             array.setflags(write=False)
 
     def __setstate__(self, state: dict) -> None:
@@ -96,7 +85,7 @@ class AnnotationStore:
         self._freeze()
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self.media_ids)
 
     def __iter__(self) -> Iterator:
         return iter(self.records)
@@ -107,33 +96,19 @@ class AnnotationStore:
     @property
     def records(self) -> tuple:
         """The rows as records, in input order."""
-        if self._records is None:
-            rows = [None] * len(self)
-            keys = np.repeat(np.arange(len(self._frames)), np.diff(self.offsets))
-            for i, k, x, y, w, h, label in zip(
-                *(column.tolist() for column in (self._order, keys, *self.boxes, self.labels))
-            ):
-                rows[i] = self.record_type(*self._frames[k], BoundingBox(x, y, w, h), label)
-            self._records = tuple(rows)
-        return self._records
+        return tuple(
+            self.record_type(media_id, frame, BoundingBox(x, y, w, h), label)
+            for media_id, frame, x, y, w, h, label in zip(
+                self.media_ids, self.frames, *self.boxes.tolist(), self.labels.tolist())
+        )
 
     @property
     def media_tags(self) -> dict[str, str | None]:
         return dict(self._media_tags)
 
-    def frames(self) -> tuple[tuple[str, int], ...]:
-        """The distinct (media_id, frame) keys, sorted."""
-        return self._frames
-
-    def at(self, media_id: str, frame: int) -> tuple:
-        k = bisect_left(self._frames, (media_id, frame))
-        if k == len(self._frames) or self._frames[k] != (media_id, frame):
-            return ()
-        return tuple(self.records[i] for i in self._order[self.offsets[k] : self.offsets[k + 1]])
-
 
 class DetectionStore(AnnotationStore):
-    """Detection records grouped by (media_id, frame); labels are the scores."""
+    """Detection rows; labels are the scores."""
 
     record_type = DetectionRecord
     label = "score"
@@ -141,7 +116,7 @@ class DetectionStore(AnnotationStore):
 
 
 class GroundTruthStore(AnnotationStore):
-    """Ground-truth records grouped by (media_id, frame); labels are the subject ids.
+    """Ground-truth rows; labels are the subject ids.
 
     At most one box per (media_id, frame, subject_id) is allowed.
     """
@@ -150,7 +125,8 @@ class GroundTruthStore(AnnotationStore):
     label = "subject_id"
     label_dtype = object
 
-    def _adopt(self, media_ids, frames, boxes, labels, media_tags) -> None:
+    def __init__(self, media_ids: Sequence[str], frames: Sequence[int], boxes, labels,
+                 media_tags: Mapping[str, str | None] | None = None):
         seen: set[tuple[str, int, str]] = set()
         for key in zip(media_ids, frames, labels):
             if key in seen:
@@ -158,7 +134,7 @@ class GroundTruthStore(AnnotationStore):
                     f"duplicate ground truth for media {key[0]!r} frame {key[1]} subject {key[2]!r}"
                 )
             seen.add(key)
-        super()._adopt(media_ids, frames, boxes, labels, media_tags)
+        super().__init__(media_ids, frames, boxes, labels, media_tags)
 
 
 class EmbeddingStore:

@@ -71,8 +71,8 @@ def test_c1_detection_oracle_equivalence():
             )
     tags = {f"f{i}": "synthetic" for i in range(len(frames))}
     report = evaluate_detections(
-        DetectionStore(det_records, media_tags=tags),
-        GroundTruthStore(gt_records, media_tags=tags),
+        DetectionStore.from_records(det_records, media_tags=tags),
+        GroundTruthStore.from_records(gt_records, media_tags=tags),
         thresholds,
     )
     for thr in thresholds:

@@ -1,11 +1,11 @@
 """The benchmark's tracer (perfbench/trace_child.py) still finds every name it wraps.
 
 The tracer replaces names in biomeval.cli and biomeval.io with timing shims
-that have none of the wrapped objects' attributes (no from_columns). A traced
-run that exits 0, reports no missing name and writes the golden reports shows
-that the package calls through those names, builds embedding stores through
-biomeval.io's EmbeddingStore name, and looks the annotation store classes up
-on biomeval.stores.
+that have none of the wrapped objects' attributes (no label or record_type).
+A traced run that exits 0, reports no missing name and writes the golden
+reports shows that the package calls through those names, builds embedding
+stores through biomeval.io's EmbeddingStore name, and looks the annotation
+store classes up on biomeval.stores.
 """
 
 import json

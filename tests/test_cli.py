@@ -240,6 +240,47 @@ def test_eval_det_golden_outputs(name, flags, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / name / "detection_summary.txt").read_text(encoding="utf-8")
 
 
+def _round_robin(path: Path, out: Path) -> Path:
+    """The file's lines with frames interleaved another way: one line of each frame in
+    turn, latest-seen frame first, each frame's own lines in file order."""
+    frames: dict[tuple, list[str]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            obj = json.loads(line)
+            frames.setdefault((obj["media_id"], obj["frame"]), []).append(line)
+    queues = [lines[::-1] for lines in reversed(frames.values())]
+    lines = []
+    while queues:
+        lines += [queue.pop() for queue in queues]
+        queues = [queue for queue in queues if queue]
+    out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("xyxy", ["--box-format", "xyxy"]),
+    ("xyxy_iou", ["--box-format", "xyxy", "--iou", "0.5", "--iou", "1.0", "--iou", "0.1"]),
+])
+def test_eval_det_outputs_do_not_depend_on_how_frames_interleave(name, flags, tmp_path, capsys):
+    det_path = _round_robin(GOLDEN / "detections.jsonl", tmp_path / "d.jsonl")
+    gt_path = _round_robin(GOLDEN / "ground_truth.jsonl", tmp_path / "g.jsonl")
+    for path, golden in ((det_path, "detections.jsonl"), (gt_path, "ground_truth.jsonl")):
+        before = [line for line in (GOLDEN / golden).read_text(encoding="utf-8").splitlines() if line.strip()]
+        after = path.read_text(encoding="utf-8").splitlines()
+        assert after != before and sorted(after) == sorted(before)
+    runs = {}
+    for inputs in ((GOLDEN / "detections.jsonl", GOLDEN / "ground_truth.jsonl"), (det_path, gt_path)):
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["eval-det", "--det", str(inputs[0]), "--gt", str(inputs[1]),
+                     "--media", str(GOLDEN / "media.jsonl"), "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+        del manifest["input_digests"]["detections"], manifest["input_digests"]["ground_truth"]
+        runs[out.name] = ({f.name: f.read_bytes() for f in out.iterdir() if f.name != "run_manifest.json"},
+                          manifest, capsys.readouterr().out)
+    assert runs["out0"] == runs["out1"]
+    assert runs["out1"][0]["detection_report.json"] == (GOLDEN / name / "detection_report.json").read_bytes()
+
+
 ID_GOLDEN = Path(__file__).parent / "data" / "id_golden"
 
 

@@ -90,6 +90,21 @@ class TestMatchFrame:
         counts = match_frame(preds, gts, 0.5)
         assert counts == MatchCounts(1, 1, 0)
 
+    def test_threshold_is_checked_as_evaluate_detections_checks_it(self):
+        preds, gts = [det("m", 0, 0, 0, 10, 10, 0.9)], [gt("m", 0, 5, 5, 10, 10)]
+        for value in (0, -1, 1.5, float("nan"), True, "0.5"):
+            with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+                match_frame(preds, gts, value)
+
+    def test_records_of_two_frames_are_rejected(self):
+        box = (0, 0, 10, 10)
+        for preds, gts in (([det("m", 0, *box, 0.9)], [gt("m", 1, *box)]),
+                           ([det("m", 0, *box, 0.9)], [gt("n", 0, *box)]),
+                           ([det("m", 0, *box, 0.9), det("m", 1, *box, 0.9)], []),
+                           ([], [gt("m", 0, *box), gt("m", 2, *box)])):
+            with pytest.raises(ValidationError, match="^match_frame takes one frame's records"):
+                match_frame(preds, gts, 0.5)
+
     def test_count_identities_randomized(self):
         rng = np.random.default_rng(45)
         for _ in range(200):
@@ -151,8 +166,8 @@ def _two_group_stores():
     det_records.append(det("b1", 0, 0, 0, 8, 8, 0.7))
     tags = {"a1": "alpha", "b1": "beta"}
     return (
-        DetectionStore(det_records, media_tags=tags),
-        GroundTruthStore(gt_records, media_tags=tags),
+        DetectionStore.from_records(det_records, media_tags=tags),
+        GroundTruthStore.from_records(gt_records, media_tags=tags),
     )
 
 
@@ -190,8 +205,8 @@ class TestEvaluateDetections:
                 gt_records.append(gt("m", frame, g.box.x, g.box.y, g.box.w, g.box.h, g.subject_id))
         tags = {"m": "only"}
         report = evaluate_detections(
-            DetectionStore(det_records, media_tags=tags),
-            GroundTruthStore(gt_records, media_tags=tags),
+            DetectionStore.from_records(det_records, media_tags=tags),
+            GroundTruthStore.from_records(gt_records, media_tags=tags),
         )
         for thr in report.thresholds:
             assert report.pooled[thr] == report.per_group[("only", thr)]
@@ -207,8 +222,8 @@ class TestEvaluateDetections:
             assert report.pooled[thr].counts == total
 
     def test_missing_tag_is_validation_error(self):
-        dets = DetectionStore([det("m", 0, 0, 0, 1, 1, 0.5)])
-        gts = GroundTruthStore([gt("m", 0, 0, 0, 1, 1)])
+        dets = DetectionStore.from_records([det("m", 0, 0, 0, 1, 1, 0.5)])
+        gts = GroundTruthStore.from_records([gt("m", 0, 0, 0, 1, 1)])
         with pytest.raises(ValidationError, match="dataset_tag"):
             evaluate_detections(dets, gts)
 
@@ -248,15 +263,43 @@ _frame = st.tuples(
 )
 
 
-def _stores(frames):
-    """Frame k goes to media m{k % 3} (tags a, b, a), frame number k."""
-    det_records, gt_records = [], []
-    for k, (preds, truths) in enumerate(frames):
-        media = f"m{k % 3}"
-        det_records += [det(media, k, *box, score) for box, score in preds]
-        gt_records += [gt(media, k, *box, f"s{i}") for i, box in enumerate(truths)]
-    tags = {"m0": "a", "m1": "b", "m2": "a"}
-    return DetectionStore(det_records, media_tags=tags), GroundTruthStore(gt_records, media_tags=tags)
+_TAGS = {"m0": "a", "m1": "b", "m2": "a"}
+
+
+def _frame_records(frames):
+    """Each frame's detection and ground-truth records: frame k goes to media
+    m{k % 3} (tags a, b, a), frame number k."""
+    return [([det(f"m{k % 3}", k, *box, score) for box, score in preds],
+             [gt(f"m{k % 3}", k, *box, f"s{i}") for i, box in enumerate(truths)])
+            for k, (preds, truths) in enumerate(frames)]
+
+
+def _stores(per_frame):
+    """The frames' records in frame order."""
+    det_records = [rec for preds, _ in per_frame for rec in preds]
+    gt_records = [rec for _, truths in per_frame for rec in truths]
+    return (DetectionStore.from_records(det_records, media_tags=_TAGS),
+            GroundTruthStore.from_records(gt_records, media_tags=_TAGS))
+
+
+def _oracle_counts(per_frame, thr) -> dict[str, MatchCounts]:
+    """Per tag, the sum of match_frame_reference over the frames that hold a record."""
+    want: dict[str, MatchCounts] = {}
+    for preds, truths in per_frame:
+        if preds or truths:
+            tag = _TAGS[(preds or truths)[0].media_id]
+            counts = MatchCounts(*match_frame_reference(preds, truths, thr))
+            want[tag] = want.get(tag, MatchCounts()) + counts
+    return want
+
+
+def _interleaved(records, keys):
+    """The records reordered so that row i belongs to frame keys[i]; each frame's own
+    records keep their order."""
+    queues: dict[tuple, list] = {}
+    for rec in reversed(records):
+        queues.setdefault((rec.media_id, rec.frame), []).append(rec)
+    return [queues[key].pop() for key in keys]
 
 
 class TestColumnarMatching:
@@ -268,21 +311,41 @@ class TestColumnarMatching:
     )
     def test_counts_equal_per_frame_oracle_sums(self, frames, extra, chunk):
         thresholds = tuple(extra) + (1.0,)
-        dets, gts = _stores(frames)
+        per_frame = _frame_records(frames)
+        dets, gts = _stores(per_frame)
         with mock.patch.object(detection, "IOU_CHUNK_PAIRS", chunk):
             report = evaluate_detections(dets, gts, thresholds)
-        evaluated = set(dets.frames()) | set(gts.frames())
         for thr in thresholds:
-            want = {}
-            for k, (preds, truths) in enumerate(frames):
-                media = f"m{k % 3}"
-                counts = MatchCounts(*match_frame_reference(dets.at(media, k), gts.at(media, k), thr))
-                assert match_frame(dets.at(media, k), gts.at(media, k), thr) == counts
-                if (media, k) in evaluated:
-                    tag = "b" if media == "m1" else "a"
-                    want[tag] = want.get(tag, MatchCounts()) + counts
+            for preds, truths in per_frame:
+                counts = MatchCounts(*match_frame_reference(preds, truths, thr))
+                assert match_frame(preds, truths, thr) == counts
+            want = _oracle_counts(per_frame, thr)
             for tag, counts in want.items():
                 assert report.per_group[(tag, thr)].counts == counts
+            assert report.pooled[thr].counts == sum(want.values(), MatchCounts())
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=st.lists(_frame, min_size=1, max_size=6), data=st.data())
+    def test_file_order_of_frames_changes_nothing(self, frames, data):
+        """Stores keep their records in file order; frames interleaved in any other
+        way, each frame's own records in order, give the same report."""
+        per_frame = _frame_records(frames)
+        dets, gts = _stores(per_frame)
+        thresholds = (0.35, 0.7, 1.0)
+        report = evaluate_detections(dets, gts, thresholds)
+
+        def reinterleaved(store):
+            keys = data.draw(st.permutations(list(zip(store.media_ids, store.frames))))
+            records = _interleaved(store.records, keys)
+            shuffled = type(store).from_records(records, media_tags=_TAGS)
+            assert shuffled.records == tuple(records) and list(shuffled) == records
+            assert type(store).from_records(shuffled.records) == shuffled
+            return shuffled
+
+        assert evaluate_detections(reinterleaved(dets), reinterleaved(gts), thresholds) == report
+        for thr in thresholds:
+            want = _oracle_counts(per_frame, thr)
+            assert {tag: report.per_group[(tag, thr)].counts for tag in want} == want
             assert report.pooled[thr].counts == sum(want.values(), MatchCounts())
 
     def test_frame_larger_than_one_chunk_matches_oracle(self):
@@ -297,8 +360,9 @@ class TestColumnarMatching:
                                          rng.integers(-2, 3, side) * 2.5, rng.choice([0.5, 0.9], side))
         ]
         tags = {"m": "crowd"}
-        report = evaluate_detections(DetectionStore(preds, media_tags=tags),
-                                     GroundTruthStore(truths, media_tags=tags), (0.35, 0.7, 1.0))
+        report = evaluate_detections(DetectionStore.from_records(preds, media_tags=tags),
+                                     GroundTruthStore.from_records(truths, media_tags=tags),
+                                     (0.35, 0.7, 1.0))
         for thr in (0.35, 0.7, 1.0):
             assert report.pooled[thr].counts == MatchCounts(*match_frame_reference(preds, truths, thr))
 
@@ -310,8 +374,8 @@ class TestColumnarMatching:
         preds = [det("m", 0, 20.0 * j + 3.0, 40.0 * i - 2.0, 30.0, 60.0, 0.5 + (k % 7) / 20)
                  for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()))]
         tags = {"m": "crowd"}
-        dets = DetectionStore(preds, media_tags=tags)
-        gts = GroundTruthStore(truths, media_tags=tags)
+        dets = DetectionStore.from_records(preds, media_tags=tags)
+        gts = GroundTruthStore.from_records(truths, media_tags=tags)
         tracemalloc.start()
         try:
             report = evaluate_detections(dets, gts)
@@ -324,10 +388,9 @@ class TestColumnarMatching:
     def test_frame_numbers_beyond_int64(self):
         big = 2**70
         tags = {"m": "t"}
-        dets = DetectionStore([det("m", big, 0, 0, 10, 10, 0.9), det("m", 3, 0, 0, 10, 10, 0.9)],
-                              media_tags=tags)
-        gts = GroundTruthStore([gt("m", big, 0, 0, 10, 10), gt("m", big + 1, 0, 0, 10, 10)],
-                               media_tags=tags)
-        assert dets.frames() == (("m", 3), ("m", big))
-        assert len(dets.at("m", big)) == 1
+        dets = DetectionStore.from_records(
+            [det("m", big, 0, 0, 10, 10, 0.9), det("m", 3, 0, 0, 10, 10, 0.9)], media_tags=tags)
+        gts = GroundTruthStore.from_records(
+            [gt("m", big, 0, 0, 10, 10), gt("m", big + 1, 0, 0, 10, 10)], media_tags=tags)
+        assert dets.frames == (big, 3)
         assert evaluate_detections(dets, gts, (0.5,)).pooled[0.5].counts == MatchCounts(1, 1, 1)

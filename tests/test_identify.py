@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +32,9 @@ from biomeval.identify import (
     Curve,
     IdentificationEval,
     build_gallery_templates,
+    positive_rank,
     probe_matrix,
+    report_ranks,
 )
 from biomeval.stores import EmbeddingStore
 
@@ -428,6 +431,23 @@ class TestCmc:
         manifest = manifest_for(["a", "b"], ["a"])
         assert rank_k_accuracy(matrix, manifest, 2) == 1.0
         assert rank_k_accuracy(matrix, manifest, 10) == 1.0
+
+    def test_ranks_must_be_integers(self):
+        matrix = ScoreMatrix(("p0",), ("a", "b"), np.array([[0.1, 0.9]]))
+        evaluation = IdentificationEval(matrix, manifest_for(["a", "b"], ["a"]))
+        for value in (2.5, 1.0, True, "2", np.float64(3.0)):
+            with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(value))}$"):
+                evaluation.rank_k_accuracy(value)
+            with pytest.raises(ValueError, match="^max_rank must be an integer"):
+                evaluation.cmc(max_rank=value)
+        with pytest.raises(ValueError, match=r"^ranks must be an integer, got \[1, 2\.5\]$"):
+            report_ranks([1, 2.5])
+        with pytest.raises(ValueError, match=r"^ranks must be an integer, got \[1, False\]$"):
+            report_ranks([1, False])
+        with pytest.raises(ValueError, match="^rank_cap must be positive, got 0$"):
+            positive_rank("rank_cap", 0)
+        assert positive_rank("k", np.int64(2)) == 2 and evaluation.rank_k_accuracy(np.int64(2)) == 1.0
+        assert positive_rank("rank_cap", None) is None
 
     def test_monotone_and_terminal(self):
         rng = np.random.default_rng(83)

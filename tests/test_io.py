@@ -210,8 +210,7 @@ class TestHostileDetectionFields:
     def test_frames_beyond_int64_and_integral_floats_load(self, tmp_path):
         rows = [_det_row(frame=2**70), _det_row(frame=3.0), _det_row(frame=3)]
         store = load_detections(write_jsonl(tmp_path / "d.jsonl", rows))
-        assert store.frames() == (("m", 3), ("m", 2**70))
-        assert [rec.frame for rec in store.at("m", 3)] == [3, 3]
+        assert store.frames == (2**70, 3, 3) and {type(f) for f in store.frames} == {int}
 
     def test_corners_are_differenced_as_float64(self, tmp_path):
         # 2**60 + 1 and 2**60 + 3 both read as 2**60: a box of zero width, on both
@@ -277,7 +276,7 @@ class TestHostileDetectionFields:
             assert str(info.value) == str(exc)
             return
         store = load_detections(path, box_format=box_format)
-        assert store == DetectionStore(records)
+        assert store == DetectionStore.from_records(records)
         tags = {}
         for rec, row in zip(records, rows):
             tags.setdefault(rec.media_id, row.get("dataset_tag"))
@@ -351,7 +350,7 @@ class TestBlockReader:
         whole = load(path)
         assert blocks == whole and len(blocks) == count
         assert blocks.media_tags == whole.media_tags
-        assert blocks.frames() == whole.frames()
+        assert blocks.media_ids == whole.media_ids and blocks.frames == whole.frames
         assert all(np.array_equal(a, b) for a, b in zip(blocks.boxes, whole.boxes))
         assert np.array_equal(blocks.labels, whole.labels)
 
@@ -408,6 +407,27 @@ class TestBlockReader:
         assert len(store) == count
         assert peak < 450 * count, f"peak {peak / count:.0f} bytes a line"
 
+    def test_store_build_memory_is_bounded_with_one_frame_per_line(self, tmp_path):
+        """A store holds its rows in file order and builds no frame index: about 390
+        bytes a line here, against 480 when each store sorted its rows by frame."""
+        count = 20_000
+        rng = np.random.default_rng(5)
+        path = tmp_path / "d.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, (x, y, score) in enumerate(zip(*np.round(rng.uniform(0, 1, (3, count)), 4).tolist())):
+                fh.write(json.dumps({
+                    "media_id": f"briar/bgc2/field/0500m/clip-{i // 500:05d}/camera-2",
+                    "frame": i, "x": 1000 * x, "y": 500 * y, "w": 40.5, "h": 90.25,
+                    "score": score, "dataset_tag": f"briar-bgc2-field-{i // 5000}"}) + "\n")
+        tracemalloc.start()
+        try:
+            store = load_detections(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(store) == count and store.frames == tuple(range(count))
+        assert peak < 430 * count, f"peak {peak / count:.0f} bytes a line"
+
     def test_text_embedding_load_memory_stays_near_the_matrix(self, tmp_path):
         """About 1.2x the float64 matrix here, against 5.3x when every line's
         vector was kept as Python floats to the end."""
@@ -433,13 +453,26 @@ class TestAnnotationStore:
             {"media_id": "b", "frame": 1, "x": 3, "y": 0, "w": 2, "h": 2, "subject_id": "s0"},
         ]
         store = load_ground_truth(write_jsonl(tmp_path / "g.jsonl", rows))
-        records = GroundTruthStore(store.records)
+        records = GroundTruthStore.from_records(store.records)
         assert store == records and list(store) == list(records.records)
-        assert store.frames() == (("a", 7), ("b", 1))
-        assert [rec.subject_id for rec in store.at("b", 1)] == ["s1", "s0"]
-        assert store.offsets.tolist() == [0, 1, 3]
-        assert store.boxes[0].tolist() == [1.5, 0.0, 3.0]
+        assert store.media_ids == ("b", "a", "b") and store.frames == (1, 7, 1)
+        assert store.labels.tolist() == ["s1", "s1", "s0"]
+        assert store.boxes[0].tolist() == [0.0, 1.5, 3.0]
         assert not store.boxes[0].flags.writeable
+
+    @pytest.mark.parametrize("load, row, store_type", [
+        (load_detections, _det_row, DetectionStore),
+        (load_ground_truth, lambda **f: _gt_row(subject_id=f"s{f['x']}", **f), GroundTruthStore),
+    ], ids=["detections", "ground-truth"])
+    def test_records_keep_file_order(self, tmp_path, load, row, store_type):
+        keys = [("b", 2), ("a", 1), ("b", 2), ("a", 0), ("a", 1), ("b", 2**70)]
+        rows = [row(media_id=m, frame=f, x=i) for i, (m, f) in enumerate(keys)]
+        store = load(write_jsonl(tmp_path / "a.jsonl", rows))
+        assert [(rec.media_id, rec.frame, rec.box.x) for rec in store.records] == [
+            (m, f, i) for i, (m, f) in enumerate(keys)]
+        assert list(zip(store.media_ids, store.frames)) == keys
+        assert store.boxes[0].tolist() == list(range(len(keys)))
+        assert store_type.from_records(store.records) == store
 
     def test_pickled_store_is_equal_and_read_only(self, tmp_path):
         import pickle
@@ -449,8 +482,8 @@ class TestAnnotationStore:
         store = load_ground_truth(write_jsonl(tmp_path / "g.jsonl", rows))
         copy = pickle.loads(pickle.dumps(store, protocol=5))
         assert copy == store and copy.media_tags == store.media_tags
-        assert copy.frames() == store.frames()
-        for array in (copy.offsets, *copy.boxes, copy.labels):
+        assert copy.frames == store.frames
+        for array in (copy.boxes, copy.labels):
             assert not array.flags.writeable
 
     def test_duplicate_ground_truth_message(self, tmp_path):

@@ -133,17 +133,26 @@ class TestStores:
         box = BoundingBox(0, 0, 1, 1)
         rec = GroundTruthRecord("m", 0, box, "s1")
         with pytest.raises(ValidationError):
-            GroundTruthStore([rec, GroundTruthRecord("m", 0, box, "s1")])
+            GroundTruthStore.from_records([rec, GroundTruthRecord("m", 0, box, "s1")])
         # Same frame, different subject is fine.
-        GroundTruthStore([rec, GroundTruthRecord("m", 0, box, "s2")])
+        GroundTruthStore.from_records([rec, GroundTruthRecord("m", 0, box, "s2")])
 
     def test_detection_store_grouping_allows_duplicates(self):
         box = BoundingBox(0, 0, 1, 1)
-        store = DetectionStore(
-            [DetectionRecord("m", 0, box, 0.5), DetectionRecord("m", 0, box, 0.6)]
-        )
-        assert len(store.at("m", 0)) == 2
-        assert store.at("m", 1) == ()
+        records = [DetectionRecord("m", 0, box, 0.5), DetectionRecord("m", 0, box, 0.6)]
+        store = DetectionStore.from_records(records)
+        assert len(store) == 2 and store.records == tuple(records)
+
+    def test_annotation_store_columns_must_agree_in_length(self):
+        with pytest.raises(ValidationError, match=r"^columns disagree: 2 media ids, 1 frames, "
+                                                  r"boxes \(4, 2\), labels \(2,\)$"):
+            DetectionStore(["m", "m"], [0], np.ones((4, 2)), [0.5, 0.5])
+        with pytest.raises(ValidationError, match=r"boxes \(2, 2\)"):
+            GroundTruthStore(["m"], [0], np.ones((2, 2)), ["s"])
+        with pytest.raises(ValidationError, match=r"labels \(2,\)$"):
+            DetectionStore(["m"], [0], np.ones((4, 1)), [0.5, 0.6])
+        store = DetectionStore(["m"], [2**70], np.ones((4, 1)), [0.5], media_tags={"m": "t"})
+        assert store.frames == (2**70,) and store.media_tags == {"m": "t"}
 
     def test_embedding_store_matrix_read_only(self):
         store = EmbeddingStore(["a"], np.array([[1.0, 2.0]]))
