@@ -59,7 +59,7 @@ def iou_thresholds(values) -> tuple:
     thresholds = tuple(iou_threshold(v) for v in values)
     if not thresholds:
         raise ValidationError("at least one IoU threshold is required")
-    return no_repeats("IoU thresholds", thresholds, ValidationError)
+    return no_repeats("IoU thresholds", thresholds)
 
 
 def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:

@@ -14,10 +14,10 @@ def duplicates(values: Iterable[str]) -> list[str]:
     return sorted(v for v, n in Counter(values).items() if n > 1)
 
 
-def no_repeats(name: str, values: Sequence, error: type[Exception] = ValueError) -> Sequence:
+def no_repeats(name: str, values: Sequence) -> Sequence:
     """values, unless the list setting `name` holds a value twice (1 and 1.0 are one value)."""
     if len(set(values)) != len(values):
-        raise error(f"{name} must not repeat, got {brief(list(values))}")
+        raise ValidationError(f"{name} must not repeat, got {brief(list(values))}")
     return values
 
 
@@ -54,8 +54,8 @@ class ParseError(BiomevalError):
         self.line = line
 
 
-class ValidationError(BiomevalError):
-    """Parsed data violates a declared invariant."""
+class ValidationError(BiomevalError, ValueError):
+    """Parsed data or a setting violates a declared invariant."""
 
 
 class FormatError(BiomevalError):

@@ -13,8 +13,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,7 +68,7 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
     faulty subject in gallery order.
     """
     if method not in AGGREGATION_METHODS:
-        raise ValueError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
+        raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
     counts = np.asarray(counts, dtype=np.intp)
     first = np.cumsum(counts) - counts
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -234,15 +233,15 @@ def score(
     reruns reproduce every score bit for bit.
     """
     if metric not in SCORE_METRICS:
-        raise ValueError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
+        raise ValidationError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
     ids, x = tuple(probe_ids), np.asarray(probes, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(ids):
-        raise ValueError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
+        raise ValidationError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
     if not len(gallery):
-        raise ValueError("gallery is empty")
+        raise ValidationError("gallery is empty")
     rows = gallery.rows
     if rows.shape[1] != x.shape[1]:
-        raise ValueError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
+        raise ValidationError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
     if metric == "cosine":
         x = _normalized_rows(x, "probes")
 
@@ -309,7 +308,7 @@ class Curve:
         if self.thresholds is not None:
             labels.append("decision threshold")
         if len(columns) != len(labels):
-            raise ValueError(f"expected {len(labels)} column names, got {len(columns)}")
+            raise ValidationError(f"expected {len(labels)} column names, got {len(columns)}")
         text = io.StringIO()
         writer = csv.writer(text)
         writer.writerow(labels)
@@ -352,10 +351,12 @@ class OperatingPoint:
 
 
 def far_target(value) -> float:
-    """A false-accept-rate target as a float in [0, 1] (so neither NaN nor infinite)."""
+    """A false-accept-rate target: a real number (not a bool) in [0, 1], as a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"FAR target must be a number, got {brief(value)}")
     f = float(value)
     if not 0.0 <= f <= 1.0:
-        raise ValueError(f"FAR target must lie in [0, 1], got {value!r}")
+        raise ValidationError(f"FAR target must lie in [0, 1], got {value!r}")
     return f
 
 
@@ -369,9 +370,9 @@ def positive_rank(name: str, value):
     least 1; None (no rank) passes. Returns value unchanged."""
     ranks = value if isinstance(value, list) else [] if value is None else [value]
     if any(isinstance(k, bool) or not isinstance(k, Integral) for k in ranks):
-        raise ValueError(f"{name} must be an integer, got {brief(value)}")
+        raise ValidationError(f"{name} must be an integer, got {brief(value)}")
     if any(k < 1 for k in ranks):
-        raise ValueError(f"{name} must be positive, got {brief(value)}")
+        raise ValidationError(f"{name} must be positive, got {brief(value)}")
     return value
 
 
@@ -381,13 +382,13 @@ def report_ranks(values) -> tuple[int, ...]:
 
 
 class IdentificationEval:
-    """One score matrix read against one protocol, shared by every metric.
+    """One score matrix read against one protocol, reduced once to per-row arrays.
 
-    The mate column of each probe is found once on construction; the
-    pessimistic mate ranks and the ascending impostor scores are computed
-    on first use and reused by every metric that reads them. Rank metrics
-    cover the mate rows only; non-mate rows add impostor scores and
-    open-set searches.
+    Construction finds each probe's mate column, then computes mate_rows,
+    non_mate_rows, genuine, ranks (pessimistic), tops, impostor (ascending,
+    read-only) and gallery_size, which every metric reads; the matrix is
+    not kept. Rank metrics cover the mate rows only; non-mate rows add
+    impostor scores and open-set searches.
     """
 
     def __init__(self, matrix: ScoreMatrix, manifest: ProtocolManifest):
@@ -404,44 +405,39 @@ class IdentificationEval:
                         f"mate subject {probe.true_subject_id!r} has no gallery column"
                     )
                 mate_columns[i] = columns[probe.true_subject_id]
-        self.matrix = matrix
+        scores = matrix.scores
         self.mate_rows = np.flatnonzero(mate_columns >= 0)
         self.non_mate_rows = np.flatnonzero(mate_columns < 0)
-        self._mate_columns = mate_columns[self.mate_rows]
-        self.genuine = matrix.scores[self.mate_rows, self._mate_columns]
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """Pessimistic rank of each mate row's mate; ties count against the mate."""
-        if not self.mate_rows.size:
-            raise ProtocolError("no mate searches to rank")
-        # Non-mate rows compare against +inf and count nothing; the mate's own
-        # >= comparison contributes the leading 1.
-        bar = np.full(len(self.matrix.probe_ids), np.inf)
+        mate_columns = mate_columns[self.mate_rows]
+        self.genuine = scores[self.mate_rows, mate_columns]
+        # Pessimistic rank: ties count against the mate. Non-mate rows compare
+        # against +inf and count nothing; the mate's own >= adds the leading 1.
+        bar = np.full(len(scores), np.inf)
         bar[self.mate_rows] = self.genuine
-        return (self.matrix.scores >= bar[:, None]).sum(axis=1)[self.mate_rows]
-
-    @cached_property
-    def impostor(self) -> np.ndarray:
-        """Scores of every probe against every column but its mate's, ascending."""
-        mask = np.ones(self.matrix.scores.shape, dtype=bool)
-        mask[self.mate_rows, self._mate_columns] = False
-        out = self.matrix.scores[mask]
-        out.sort()
-        out.setflags(write=False)
-        return out
+        self.ranks = (scores >= bar[:, None]).sum(axis=1)[self.mate_rows]
+        # No gallery columns, no top scores; every metric then raises ProtocolError.
+        self.tops = scores.max(axis=1) if scores.size else np.full(len(scores), -np.inf)
+        # Masked, then sorted in place: a reordering before the unstable sort
+        # could change which of +0.0 and -0.0 a threshold reads.
+        mask = np.ones(scores.shape, dtype=bool)
+        mask[self.mate_rows, mate_columns] = False
+        self.impostor = scores[mask]
+        self.impostor.sort()
+        self.impostor.setflags(write=False)
+        self.gallery_size = scores.shape[1]
 
     def _require_genuine_and_impostor(self) -> None:
-        impostors = self.matrix.scores.size - self.genuine.size
-        if self.genuine.size == 0 or impostors == 0:
+        if self.genuine.size == 0 or self.impostor.size == 0:
             raise ProtocolError(
                 f"need at least one genuine and one impostor score, "
-                f"got {self.genuine.size} and {impostors}"
+                f"got {self.genuine.size} and {self.impostor.size}"
             )
 
     def rank_k_accuracy(self, k: int) -> float:
         """Fraction of mate searches whose mate ranks within the top k."""
         positive_rank("k", k)
+        if not self.mate_rows.size:
+            raise ProtocolError("no mate searches to rank")
         return float((self.ranks <= k).mean())
 
     def cmc(self, max_rank: int | None = None) -> Curve:
@@ -450,12 +446,13 @@ class IdentificationEval:
         CMC(r) is the fraction of mate searches whose mate has pessimistic
         rank <= r, for r = 1..max_rank (default: the gallery size).
         """
-        ranks = self.ranks
+        if not self.mate_rows.size:
+            raise ProtocolError("no mate searches to rank")
         if max_rank is None:
-            max_rank = len(self.matrix.subject_ids)
+            max_rank = self.gallery_size
         positive_rank("max_rank", max_rank)
-        hits = np.bincount(np.minimum(ranks, max_rank + 1), minlength=max_rank + 2)
-        accuracy = np.cumsum(hits[1 : max_rank + 1]) / ranks.size
+        hits = np.bincount(np.minimum(self.ranks, max_rank + 1), minlength=max_rank + 2)
+        accuracy = np.cumsum(hits[1 : max_rank + 1]) / self.ranks.size
         points = tuple((float(r), float(a)) for r, a in enumerate(accuracy, start=1))
         return Curve(points=points, x_label="rank", y_label="cumulative match accuracy")
 
@@ -490,7 +487,7 @@ class IdentificationEval:
         """
         self._require_genuine_and_impostor()
         if max_points < 2:
-            raise ValueError(f"max_points must be at least 2, got {max_points}")
+            raise ValidationError(f"max_points must be at least 2, got {max_points}")
         imp_sorted = self.impostor
         gen_sorted = np.sort(self.genuine)
         if imp_sorted.size > max_points:
@@ -516,18 +513,17 @@ class IdentificationEval:
             raise ProtocolError("no mate searches in the matrix")
         if not self.non_mate_rows.size:
             raise ProtocolError("no non-mate searches in the matrix")
-        tops = self.matrix.scores.max(axis=1)
         if isinstance(thresholds, str):
             if thresholds != "sweep":
-                raise ValueError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
-            taus = np.concatenate(([-np.inf], np.unique(tops), [np.inf]))
+                raise ValidationError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
+            taus = np.concatenate(([-np.inf], np.unique(self.tops), [np.inf]))
         else:
             taus = np.sort(np.asarray(list(thresholds), dtype=np.float64))
             if taus.size == 0:
-                raise ValueError("at least one threshold is required")
+                raise ValidationError("at least one threshold is required")
 
         in_cap = self.genuine if rank_cap is None else self.genuine[self.ranks <= rank_cap]
-        nm_sorted = np.sort(tops[self.non_mate_rows])
+        nm_sorted = np.sort(self.tops[self.non_mate_rows])
         in_cap_sorted = np.sort(in_cap)
         n_mates = self.genuine.size
         n_out = n_mates - in_cap.size

@@ -247,7 +247,7 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
     as records (_annotation_record), which raises the error of its first faulty line.
     """
     if box_format not in BOX_FORMATS:
-        raise ValueError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
+        raise ValidationError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
     media, frames, boxes, labels, tags, strings = [], [], [], [], [], {}
     lines = _iter_jsonl(path)
     try:
@@ -304,7 +304,7 @@ def load_embeddings(path: str | Path, format: str | None = None) -> EmbeddingSto
 
 def _embedding_format(format: str) -> str:
     if format not in EMBEDDING_FORMATS:
-        raise ValueError(f"format must be one of {EMBEDDING_FORMATS}, got {format!r}")
+        raise ValidationError(f"format must be one of {EMBEDDING_FORMATS}, got {format!r}")
     return format
 
 

@@ -46,3 +46,20 @@ def test_traced_run_finds_every_wrapped_name_and_writes_the_golden_reports(argv,
     assert traced <= {span["name"] for span in trace["spans"]}
     for path in golden.iterdir():
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_traced_score_counts_every_cell_of_the_matrix(tmp_path):
+    """identify.score's cell count is probes x gallery subjects, read off the ScoreMatrix it returns."""
+    protocol = json.loads((ID_GOLDEN / "protocol.json").read_text(encoding="utf-8"))
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(spans_path), "eval-id",
+         "--emb", str(ID_GOLDEN / "embeddings.bemb"), "--protocol", str(ID_GOLDEN / "protocol.json"),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    (traced,) = [span for span in spans if span["name"] == "identify.score"]
+    assert traced["counts"]["cells"] == len(protocol["probes"]) * len(protocol["gallery"])

@@ -320,6 +320,19 @@ class TestEvalId:
         openset_lines = (out / "openset.csv").read_text().splitlines()
         assert openset_lines[1] == "fpir,fnir,threshold"
 
+    def test_protocol_without_mate_searches_exits_1(self, toy_protocol_files, tmp_path, capsys):
+        emb_path, protocol_path = toy_protocol_files
+        protocol = read_json(protocol_path)
+        for probe in protocol["probes"]:
+            probe["true_subject_id"] = None
+        no_mates = tmp_path / "no_mates.json"
+        no_mates.write_text(json.dumps(protocol), encoding="utf-8")
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(no_mates),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no mate searches to rank\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_embeddings_listed(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         protocol = read_json(protocol_path)

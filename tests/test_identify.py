@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 import tracemalloc
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biomeval import (
+    BiomevalError,
     GalleryEntry,
     ProbeEntry,
     ProtocolError,
@@ -32,6 +35,8 @@ from biomeval.identify import (
     Curve,
     IdentificationEval,
     build_gallery_templates,
+    far_target,
+    far_targets,
     positive_rank,
     probe_matrix,
     report_ranks,
@@ -752,6 +757,56 @@ class TestIdentificationEval:
         matrix = ScoreMatrix(("p0",), ("a",), np.array([[0.5]]))
         with pytest.raises(ProtocolError, match="no gallery column"):
             IdentificationEval(matrix, manifest_for(["a", "b"], ["b"]))
+
+    def test_keeps_no_matrix(self):
+        matrix = ScoreMatrix(
+            ("p0", "p1", "p2"), ("a", "b"), np.array([[0.9, 0.1], [0.5, 0.4], [0.6, 0.3]])
+        )
+        evaluation = IdentificationEval(matrix, manifest_for(["a", "b"], ["a", "b", None]))
+        alive = weakref.ref(matrix)
+        del matrix
+        gc.collect()
+        assert alive() is None
+        assert not hasattr(evaluation, "matrix")
+        assert evaluation.tops.tolist() == [0.9, 0.5, 0.6]
+        assert evaluation.gallery_size == 2
+        assert evaluation.cmc().y == (0.5, 1.0)
+
+    @pytest.mark.parametrize("subjects", [("a", "b"), ()])
+    def test_no_mate_search_has_nothing_to_rank(self, subjects):
+        matrix = ScoreMatrix(("p0", "p1"), subjects, np.full((2, len(subjects)), 0.5))
+        manifest = manifest_for(["a", "b"], [None, None])
+        evaluation = IdentificationEval(matrix, manifest)
+        for call in (evaluation.cmc, lambda: evaluation.rank_k_accuracy(1),
+                     lambda: cmc(matrix, manifest), lambda: rank_k_accuracy(matrix, manifest, 1)):
+            with pytest.raises(ProtocolError, match="^no mate searches to rank$"):
+                call()
+        with pytest.raises(ProtocolError, match="^no mate searches in the matrix$"):
+            evaluation.fnir_fpir()
+
+
+def test_far_target_takes_real_numbers_only():
+    for value in ("0.01", True, None):
+        with pytest.raises(ValidationError, match=f"^FAR target must be a number, got {re.escape(repr(value))}$"):
+            far_target(value)
+    with pytest.raises(ValidationError, match="^FAR target must be a number, got '0.5'$"):
+        far_targets(["0.5", 0.1])
+    assert far_target(np.float64(0.5)) == 0.5
+    assert far_target(1) == 1.0 and type(far_target(1)) is float
+
+
+def test_setting_checks_raise_biomeval_errors():
+    """Every setting check raises one class, a BiomevalError that is also a ValueError."""
+    evaluation = IdentificationEval(ScoreMatrix(("p0",), ("a",), np.array([[0.5]])),
+                                    manifest_for(["a"], ["a"]))
+    gallery = aggregate_gallery({"a": np.ones(2)})
+    for call in (lambda: positive_rank("k", 0), lambda: far_target(2),
+                 lambda: report_ranks([1, 1]), lambda: far_targets([0.1, 0.1]),
+                 lambda: evaluation.rank_k_accuracy(0),
+                 lambda: score(np.ones((1, 2)), gallery, metric="x", probe_ids=["p0"])):
+        with pytest.raises(BiomevalError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 def test_tar_at_far_and_roc_share_one_impostor_copy():
