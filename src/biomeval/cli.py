@@ -7,10 +7,11 @@ its flag's JSON kind (a string, an integer, a number, or a list of one of
 these for a repeatable flag) and gets the flag's checks, all before any input
 is read; a flag given on the command line replaces a config list. Every
 file-writing run also writes run_manifest.json with the resolved
-configuration, seed, input digests, and tool version; reruns on identical
-inputs produce identical bytes. Floats in reports carry 6 significant
-digits. One writer (_write_run) owns the write order: each output under a
-temporary name, moved into place, the manifest last, the summary last.
+configuration, seed, the digests of its inputs as read when the run starts,
+and tool version; reruns on identical inputs produce identical bytes.
+Floats in reports carry 6 significant digits. One writer (_write_run) owns
+the write order: each output under a temporary name, moved into place, the
+manifest last, the summary last.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ class RunConfig:
     """Resolved configuration for one evaluation run.
 
     Input paths must exist when the config is built. The command then reads
-    its inputs and hands its outputs to _write_run, which alone creates the
-    output directory, so a run that fails on its inputs leaves no directory
-    behind.
+    its inputs, hashes them with _input_digests (eval-id and eval-det in a
+    forked child while they read), and hands its outputs and the digests to
+    _write_run, which alone creates the output directory, so a run that
+    fails on its inputs leaves no directory behind.
     """
 
     out_dir: Path
@@ -121,6 +123,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _input_digests(inputs: dict[str, str]) -> dict[str, str]:
+    """Each input file's SHA-256 digest by its name, as run_manifest.json records it."""
+    return {name: f"sha256:{_sha256(path)}" for name, path in inputs.items()}
+
+
 def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False)
             + "\n").encode("utf-8")
@@ -129,13 +136,15 @@ def _json_bytes(payload: dict) -> bytes:
 @dataclass(frozen=True)
 class RunOutputs:
     """What a file-writing command produced: its files' bytes by name, in write
-    order, the manifest's command and config, and the summary for stdout."""
+    order, the manifest's command and config, the summary for stdout, and
+    the digests of run.inputs from _input_digests, taken as the run read them."""
 
     run: RunConfig
     command: str
     config: dict
     artefacts: dict[str, bytes]
     summary: str
+    digests: dict[str, str]
 
 
 @contextmanager
@@ -158,7 +167,8 @@ def _write_run(outputs: RunOutputs) -> None:
     An earlier run's manifest is removed first, each artefact is moved into
     place whole, the new manifest follows them, and the summary goes to
     stdout last (main flushes it). A run that fails part-way leaves no
-    manifest and no temporary file.
+    manifest and no temporary file. The manifest's input digests are the
+    ones the command took; no input file is opened here.
     """
     run = outputs.run
     manifest = _json_bytes({
@@ -166,7 +176,7 @@ def _write_run(outputs: RunOutputs) -> None:
         "version": __version__,
         "command": outputs.command,
         "config": outputs.config,
-        "input_digests": {name: f"sha256:{_sha256(p)}" for name, p in run.inputs.items()},
+        "input_digests": outputs.digests,
         "outputs": sorted(outputs.artefacts),
     })
     run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,13 +356,15 @@ def _cmd_eval_det(args) -> RunOutputs:
         inputs["media"] = args.media
     run = RunConfig(out_dir=_out_dir(args), inputs=inputs, seed=args.seed)
 
-    # The ground truth is parsed in a second process while this one parses the
-    # detections; a detections fault still comes first.
+    # The ground truth is parsed, and then the inputs hashed, in a second
+    # process while this one parses the detections; a detections fault still
+    # comes first.
     gt_path = inputs["ground_truth"]
-    with _in_child(lambda: load_ground_truth(gt_path, box_format=args.box_format),
+    with _in_child(lambda: (load_ground_truth(gt_path, box_format=args.box_format),
+                            _input_digests(inputs)),
                    f"reading ground truth {gt_path}") as ground_truth:
         dets = load_detections(inputs["detections"], box_format=args.box_format)
-        gts = ground_truth()
+        gts, digests = ground_truth()
     media_tags = None if args.media is None else load_media_index(args.media).media_tags()
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
@@ -374,6 +386,7 @@ def _cmd_eval_det(args) -> RunOutputs:
             "detection_summary.txt": summary.encode("utf-8"),
         },
         summary=summary,
+        digests=digests,
     )
 
 
@@ -391,21 +404,25 @@ def _cmd_eval_id(args) -> RunOutputs:
     # The settings that the report and the manifest's config share.
     settings = {"ranks": list(ranks), "far_targets": list(targets), "metric": args.metric,
                 "aggregation": args.aggregate, "rank_cap": rank_cap}
-    emb_format = sniff_embedding_format(args.emb)
 
-    embeddings = load_embeddings(args.emb, format=emb_format)
-    manifest = load_protocol(args.protocol)
-    gallery = build_gallery_templates(manifest, embeddings, method=args.aggregate)
-    probe_ids, probes = probe_matrix(manifest, embeddings)
-    evaluation = IdentificationEval(score(probes, gallery, metric=args.metric, probe_ids=probe_ids),
-                                    manifest)
+    # The inputs are hashed in a second process while this one loads and
+    # scores them; a fault here kills that process and comes first.
+    with _in_child(lambda: _input_digests(run.inputs), "hashing the inputs") as digests:
+        emb_format = sniff_embedding_format(args.emb)
+        embeddings = load_embeddings(args.emb, format=emb_format)
+        manifest = load_protocol(args.protocol)
+        gallery = build_gallery_templates(manifest, embeddings, method=args.aggregate)
+        probe_ids, probes = probe_matrix(manifest, embeddings)
+        evaluation = IdentificationEval(score(probes, gallery, metric=args.metric, probe_ids=probe_ids),
+                                        manifest)
 
-    gallery_size = len(manifest.gallery)
-    rank_accuracy = {str(k): evaluation.rank_k_accuracy(k) for k in ranks}
-    operating_points = evaluation.tar_at_far(targets)
-    cmc_curve = evaluation.cmc()
-    roc = evaluation.roc_curve()
-    open_set = evaluation.fnir_fpir(rank_cap=rank_cap) if evaluation.non_mate_rows.size else None
+        gallery_size = len(manifest.gallery)
+        rank_accuracy = {str(k): evaluation.rank_k_accuracy(k) for k in ranks}
+        operating_points = evaluation.tar_at_far(targets)
+        cmc_curve = evaluation.cmc()
+        roc = evaluation.roc_curve()
+        open_set = evaluation.fnir_fpir(rank_cap=rank_cap) if evaluation.non_mate_rows.size else None
+        input_digests = digests()
 
     artefacts = {
         "cmc.csv": cmc_curve.to_csv(columns=("rank", "accuracy")).encode("utf-8"),
@@ -438,7 +455,7 @@ def _cmd_eval_id(args) -> RunOutputs:
     artefacts["identification_report.json"] = _json_bytes(report)
     run_config = {**settings, "embedding_format": emb_format, "seed": run.seed}
     return RunOutputs(run, "eval-id", config=run_config, artefacts=artefacts,
-                      summary="\n".join(lines) + "\n")
+                      summary="\n".join(lines) + "\n", digests=input_digests)
 
 
 def _cmd_plan_batches(args) -> RunOutputs:
@@ -489,6 +506,7 @@ def _cmd_plan_batches(args) -> RunOutputs:
         artefacts={"plan.json": _json_bytes(payload)},
         summary=f"wrote plan for {args.num_batches} batch(es) of {plan.batch_size} media to "
                 f"{run.out_dir / 'plan.json'}\n",
+        digests=_input_digests(run.inputs),
     )
 
 

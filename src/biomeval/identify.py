@@ -79,7 +79,7 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
         if method == "mean":
             # Subjects with k media are averaged together as one (n_k, k, d) block.
             means = np.empty((len(counts), media.shape[1]))
-            for k in np.unique(counts).tolist():
+            for k in _distinct(np.sort(counts)).tolist():
                 (members,) = np.nonzero(counts == k)
                 means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
             # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
@@ -327,14 +327,32 @@ def _share_above(ascending: np.ndarray, taus) -> np.ndarray:
     return (ascending.size - np.searchsorted(ascending, taus, side="right")) / ascending.size
 
 
+def _distinct(values: np.ndarray, return_index: bool = False):
+    """Element 0 and every element that differs from the one before it (and,
+    with return_index, their indices).
+
+    For ascending values this equals numpy.unique(values, return_index=...)
+    bit for bit, without its sort and without the numpy.ma import that
+    numpy.unique makes on its first call. For the distinct values of any
+    array, pass it through np.sort: that is numpy.unique's own sort, so a
+    run of zeros of both signs keeps the sign numpy.unique keeps.
+    """
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    first = np.flatnonzero(keep)
+    return (values[first], first) if return_index else values[first]
+
+
 def _plateau_curve(xs, ys, taus, x_label: str, y_label: str) -> Curve:
     """The curve through each distinct x at its first occurrence along ascending taus.
 
     x is non-increasing along ascending taus, so the first occurrence of
     each x value is its plateau's smallest tau and the y it reaches there.
     """
-    unique_xs, first = np.unique(xs, return_index=True)
-    points = tuple(zip(unique_xs.tolist(), ys[first].tolist()))
+    # Each run of equal xs starts at its first occurrence; reversed, the runs ascend.
+    first = _distinct(xs, return_index=True)[1][::-1]
+    points = tuple(zip(xs[first].tolist(), ys[first].tolist()))
     return Curve(points, x_label, y_label, thresholds=tuple(taus[first].tolist()))
 
 
@@ -490,11 +508,13 @@ class IdentificationEval:
             raise ValidationError(f"max_points must be at least 2, got {max_points}")
         imp_sorted = self.impostor
         gen_sorted = np.sort(self.genuine)
+        # The thresholds are sorted again, as numpy.unique sorted them, which
+        # decides whether 0.0 or -0.0 stands for a run of zeros of both signs.
         if imp_sorted.size > max_points:
-            positions = np.unique(np.linspace(0, imp_sorted.size - 1, max_points).round().astype(int))
-            taus = np.concatenate(([-np.inf], np.unique(imp_sorted[positions])))
+            positions = _distinct(np.linspace(0, imp_sorted.size - 1, max_points).round().astype(int))
+            taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted[positions]))))
         else:
-            taus = np.concatenate(([-np.inf], np.unique(imp_sorted)))
+            taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted))))
         fars, tars = _share_above(imp_sorted, taus), _share_above(gen_sorted, taus)
         return _plateau_curve(fars, tars, taus, "false accept rate", "true accept rate")
 
@@ -516,7 +536,7 @@ class IdentificationEval:
         if isinstance(thresholds, str):
             if thresholds != "sweep":
                 raise ValidationError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
-            taus = np.concatenate(([-np.inf], np.unique(self.tops), [np.inf]))
+            taus = np.concatenate(([-np.inf], _distinct(np.sort(self.tops)), [np.inf]))
         else:
             taus = np.sort(np.asarray(list(thresholds), dtype=np.float64))
             if taus.size == 0:

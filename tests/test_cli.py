@@ -955,6 +955,68 @@ class TestGroundTruthWorker:
         assert done.stdout == (GOLDEN / "xywh" / "detection_summary.txt").read_bytes()
 
 
+class TestInputHashWorker:
+    """eval-id hashes its inputs in a forked child while it loads and scores them."""
+
+    def _run(self, emb_path, protocol_path, out, *flags):
+        return main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out), *flags])
+
+    def _bad_embeddings(self, tmp_path):
+        return write_jsonl(tmp_path / "bad_emb.jsonl", [{"media_id": "a", "vector": [1, 2.5]},
+                                                        {"media_id": "b", "vector": [1.0, None]}])
+
+    def test_success_leaves_no_child(self, toy_protocol_files, tmp_path):
+        assert self._run(*toy_protocol_files, tmp_path / "out") == 0
+        _assert_no_child_left()
+
+    def test_embeddings_fault_kills_a_running_child(self, toy_protocol_files, tmp_path, capsys,
+                                                    monkeypatch):
+        import time
+
+        monkeypatch.setattr(cli, "_input_digests", lambda inputs: time.sleep(60))
+        _, protocol_path = toy_protocol_files
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert self._run(self._bad_embeddings(tmp_path), protocol_path, out) == 1
+        assert time.perf_counter() - start < 30
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: key 'vector[1]' must be a number, got None")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("die, ending", [
+        (lambda: os._exit(3), "exited with code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit-3", "sigkill"])
+    def test_child_that_dies_without_a_result_exits_1(self, toy_protocol_files, tmp_path, capsys,
+                                                      monkeypatch, die, ending):
+        monkeypatch.setattr(cli, "_input_digests", lambda inputs: die())
+        out = tmp_path / "out"
+        assert self._run(*toy_protocol_files, out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: hashing the inputs: worker process {ending} without a result\n"
+        assert captured.out == ""
+        assert not out.exists()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("flags", [
+        ["--aggregate", "mean"],
+        ["--aggregate", "max_score", "--metric", "neg_euclidean", "--rank-cap", "5"],
+    ], ids=["mean", "max_score"])
+    def test_without_fork_outputs_are_identical(self, tmp_path, capsys, monkeypatch, flags):
+        inputs = (ID_GOLDEN / "embeddings.bemb", ID_GOLDEN / "protocol.json")
+        forked, in_order = tmp_path / "forked", tmp_path / "in_order"
+        assert self._run(*inputs, forked, *flags) == 0
+        forked_stdout = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert self._run(*inputs, in_order, *flags) == 0
+        assert capsys.readouterr().out == forked_stdout
+        assert _files(in_order) == _files(forked)
+        assert "run_manifest.json" in _files(forked)
+
+
 @pytest.mark.parametrize("command, source", [
     ("eval-det", "flag"), ("eval-det", "config"), ("eval-id", "flag"), ("eval-id", "config"),
     ("plan-batches", "flag"), ("plan-batches", "config"), ("check-losses", "flag"),
@@ -1131,3 +1193,86 @@ def test_cli_import_loads_no_heavy_module():
     )
     assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
     assert json.loads(done.stdout) == []
+
+
+# The flag that names each input, by its name in the manifest's input_digests.
+_INPUT_FLAGS = {"embeddings": "--emb", "protocol": "--protocol", "detections": "--det",
+                "ground_truth": "--gt", "media": "--media"}
+
+
+def _input_paths(argv):
+    """The manifest name and path of each input an argument list names."""
+    return {name: Path(argv[argv.index(flag) + 1])
+            for name, flag in _INPUT_FLAGS.items() if flag in argv}
+
+
+def _sha256_of(path):
+    import hashlib
+
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["eval-id", "eval-det", "plan-batches"])
+def test_manifest_digests_are_the_input_files_sha256(command, tmp_path):
+    argv = _run_argv(command, tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    digests = read_json(out / "run_manifest.json")["input_digests"]
+    expected = {name: _sha256_of(path) for name, path in _input_paths(argv).items()}
+    assert digests == expected
+    assert set(expected) == {"eval-id": {"embeddings", "protocol"},
+                             "eval-det": {"detections", "ground_truth", "media"},
+                             "plan-batches": {"media"}}[command]
+
+
+@pytest.mark.parametrize("command", ["eval-id", "eval-det", "plan-batches"])
+def test_run_writer_opens_no_input(command, tmp_path, capsys):
+    """The digests are taken while the command runs: the writer needs no input file."""
+    argv = _run_argv(command, tmp_path)
+    copies = tmp_path / "inputs"
+    copies.mkdir()
+    expected = {}
+    for name, path in _input_paths(argv).items():
+        copy = copies / path.name
+        copy.write_bytes(path.read_bytes())
+        argv[argv.index(_INPUT_FLAGS[name]) + 1] = str(copy)
+        expected[name] = _sha256_of(copy)
+    out = tmp_path / "out"
+    args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+    outputs = args.func(args)
+    for path in copies.iterdir():
+        path.unlink()
+    cli._write_run(outputs)
+    assert read_json(out / "run_manifest.json")["input_digests"] == expected
+    assert capsys.readouterr().out == outputs.summary
+
+
+def test_eval_runs_load_no_masked_array_module():
+    """numpy.ma costs every run that imports it; np.unique imports it on its first call."""
+    det, ids = GOLDEN, ID_GOLDEN
+    runs = [
+        ["eval-id", "--emb", str(ids / "embeddings.bemb"), "--protocol", str(ids / "protocol.json"),
+         "--aggregate", "mean"],
+        ["eval-id", "--emb", str(ids / "embeddings.bemb"), "--protocol", str(ids / "protocol.json"),
+         "--aggregate", "max_score", "--metric", "neg_euclidean", "--rank-cap", "5"],
+        ["eval-det", "--det", str(det / "detections.jsonl"), "--gt", str(det / "ground_truth.jsonl"),
+         "--media", str(det / "media.jsonl")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    script = (
+        "import contextlib, io, json, sys, tempfile\n"
+        "from biomeval.cli import main\n"
+        "loaded = []\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main([*argv, '--out', f'{out}/{i}']) == 0\n"
+        "        loaded.append([argv[0], 'numpy.ma' in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert json.loads(done.stdout) == [["eval-id", False], ["eval-id", False], ["eval-det", False]]

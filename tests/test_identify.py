@@ -827,3 +827,34 @@ def test_tar_at_far_and_roc_share_one_impostor_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix.scores.nbytes, peak / matrix.scores.nbytes
+
+
+# Few distinct values, so that draws hold ties and runs of zeros of both signs.
+_TIED_FLOATS = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -np.inf, np.inf]),
+              st.floats(allow_nan=False)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIED_FLOATS)
+@example([0.0])
+@example([-0.0, 0.0, -0.0, 0.0, -0.0])
+@example([0.0, -0.0, 0.0, 0.0])
+@example([2.5] * 7)
+def test_distinct_matches_numpy_unique_bit_for_bit(values):
+    """_distinct of sorted values is numpy.unique, values and first indices, signs of zero included."""
+    values = np.array(values, dtype=np.float64)
+    assert identify._distinct(np.sort(values)).tobytes() == np.unique(values).tobytes()
+    ascending = np.sort(values)
+    distinct, first = identify._distinct(ascending, return_index=True)
+    expected, expected_first = np.unique(ascending, return_index=True)
+    assert distinct.tobytes() == expected.tobytes()
+    assert first.tolist() == expected_first.tolist()
+    # A non-increasing array, as _plateau_curve reads it: its runs' starts, reversed.
+    descending = ascending[::-1].copy()
+    distinct, first = identify._distinct(descending, return_index=True)
+    expected, expected_first = np.unique(descending, return_index=True)
+    assert distinct[::-1].tobytes() == expected.tobytes()
+    assert first[::-1].tolist() == expected_first.tolist()
