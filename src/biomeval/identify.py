@@ -28,6 +28,8 @@ AGGREGATION_METHODS = ("mean", "max_score")
 SCORE_METRICS = ("cosine", "neg_euclidean")
 
 _SCORE_CHUNK = 1024
+# Gallery rows normalised per block, so the norms' x*x temporary stays small.
+_NORM_BLOCK = 1024
 # Bytes of one probe tile's range-max table, so that it stays in a core's L2 cache.
 _TILE_BYTES = 1 << 20
 
@@ -61,20 +63,31 @@ def _normalized_rows(mat: np.ndarray, context: str) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str) -> Gallery:
-    """The gallery of subjects whose media rows lie consecutively in a float64 matrix.
+def _stack_gallery(
+    subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str, original
+) -> Gallery:
+    """The gallery of subjects whose media rows lie consecutively in a new float64 matrix.
 
-    Subject k owns the next counts[k] >= 1 rows. A fault names the first
-    faulty subject in gallery order.
+    Subject k owns the next counts[k] >= 1 rows. The matrix is normalised
+    in place, _NORM_BLOCK rows at a time: each row's norm is the same
+    per-row reduction whichever block holds it, and the division is
+    elementwise, so the rows equal media / norm(media, axis=1) bit for bit.
+    A fault names the first faulty subject in gallery order, and
+    original(k), subject k's vectors as given, says which fault it is.
     """
     if method not in AGGREGATION_METHODS:
         raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
     counts = np.asarray(counts, dtype=np.intp)
     first = np.cumsum(counts) - counts
+    rows = media
+    finite = np.empty(len(rows), dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rows = media / np.linalg.norm(media, axis=1)[:, None]
-        # A non-finite or zero-norm medium leaves a NaN or infinite unit row.
-        ok = np.logical_and.reduceat(np.isfinite(rows).all(axis=1), first)
+        for lo in range(0, len(rows), _NORM_BLOCK):
+            block = rows[lo : lo + _NORM_BLOCK]
+            block /= np.linalg.norm(block, axis=1)[:, None]
+            # A non-finite or zero-norm medium leaves a NaN or infinite unit row.
+            np.isfinite(block).all(axis=1, out=finite[lo : lo + _NORM_BLOCK])
+        ok = np.logical_and.reduceat(finite, first)
         starts = first
         if method == "mean":
             # Subjects with k media are averaged together as one (n_k, k, d) block.
@@ -89,7 +102,7 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
     if not ok.all():
         k = int(np.argmin(ok))
         context = f"subject {subject_ids[k]!r}"
-        _normalized_rows(media[first[k] : first[k] + counts[k]], context)  # raises a row fault
+        _normalized_rows(original(k), context)  # raises a row fault
         raise ValidationError(f"{context}: degenerate template (zero mean vector)")
     rows.setflags(write=False)
     starts.setflags(write=False)
@@ -116,7 +129,7 @@ def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gall
             )
         blocks.append(block)
     rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
-    return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
+    return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method, blocks.__getitem__)
 
 
 def build_gallery_templates(
@@ -128,7 +141,8 @@ def build_gallery_templates(
         raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
     media = embeddings.rows([m for e in manifest.gallery for m in e.media_ids])
     counts = [len(e.media_ids) for e in manifest.gallery]
-    return _stack_gallery(manifest.subject_ids, media, counts, method)
+    return _stack_gallery(manifest.subject_ids, media, counts, method,
+                          lambda k: embeddings.rows(manifest.gallery[k].media_ids))
 
 
 def probe_matrix(
@@ -269,8 +283,8 @@ def score(
             np.negative(block, out=block)
         if reduce is not None:
             reduce(block, out)
-    if metric == "cosine":
-        np.clip(scores, -1.0, 1.0, out=scores)
+        if metric == "cosine":
+            np.clip(out, -1.0, 1.0, out=out)
     scores.setflags(write=False)
     return ScoreMatrix(probe_ids=ids, subject_ids=gallery.subject_ids, scores=scores)
 
@@ -435,11 +449,16 @@ class IdentificationEval:
         self.ranks = (scores >= bar[:, None]).sum(axis=1)[self.mate_rows]
         # No gallery columns, no top scores; every metric then raises ProtocolError.
         self.tops = scores.max(axis=1) if scores.size else np.full(len(scores), -np.inf)
-        # Masked, then sorted in place: a reordering before the unstable sort
-        # could change which of +0.0 and -0.0 a threshold reads.
-        mask = np.ones(scores.shape, dtype=bool)
-        mask[self.mate_rows, mate_columns] = False
-        self.impostor = scores[mask]
+        # Every cell but the mates', copied in row-major order (a boolean
+        # mask's order), then sorted in place: a reordering before the
+        # unstable sort could change which of +0.0 and -0.0 a threshold reads.
+        flat = scores.reshape(-1)
+        self.impostor = np.empty(flat.size - self.mate_rows.size)
+        done = 0
+        for skipped, cut in enumerate((self.mate_rows * scores.shape[1] + mate_columns).tolist()):
+            self.impostor[done - skipped : cut - skipped] = flat[done:cut]
+            done = cut + 1
+        self.impostor[done - self.mate_rows.size :] = flat[done:]
         self.impostor.sort()
         self.impostor.setflags(write=False)
         self.gallery_size = scores.shape[1]

@@ -349,12 +349,16 @@ def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
 
 
 def _load_embeddings_binary(path: str | Path) -> EmbeddingStore:
-    """Read the file once, walk the records for ids and vector offsets, then fill one matrix.
+    """Read the file once, walk the records for ids and vector offsets, then gather the vectors.
 
     Every length is checked against the bytes left before it is used, so a
     header that overstates count or dim fails as truncation before anything
-    of its declared size is allocated. Memory is the file plus one float64
-    (count, dim) matrix; float32 -> float64 widening is exact.
+    of its declared size is allocated. The vectors are then taken in one
+    gather with no per-record loop: a sliding 4*dim-byte window over the file
+    (a view) indexed at the record offsets copies every vector, whatever its
+    alignment, into one array read as little-endian float32, so each value
+    keeps the bits stored. Memory is the file plus one float32 (count, dim)
+    matrix.
     """
     data = Path(path).read_bytes()
     magic = data[: len(BINARY_MAGIC)]
@@ -395,10 +399,10 @@ def _load_embeddings_binary(path: str | Path) -> EmbeddingStore:
     if pos != size:
         raise FormatError(f"trailing bytes after {count} declared records")
 
-    matrix = np.empty((count, dim), dtype=np.float64)
-    for row, offset in zip(matrix, offsets):
-        row[:] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-    return EmbeddingStore(ids, matrix)
+    if not count:
+        return EmbeddingStore(ids, np.empty((0, dim), dtype=np.float32))
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), vector_bytes)
+    return EmbeddingStore(ids, windows[offsets].view("<f4"))
 
 
 def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "text") -> None:
@@ -409,7 +413,7 @@ def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "tex
                 obj = {"media_id": media_id, "vector": [float(v) for v in row]}
                 fh.write(json.dumps(obj) + "\n")
         return
-    matrix = np.asarray(store.matrix, dtype=np.float32)
+    matrix = np.asarray(store.matrix, dtype="<f4")
     if matrix.size and not np.all(np.isfinite(matrix)):
         raise FormatError("vector component overflows the 32-bit float range")
     with open(path, "wb") as fh:

@@ -137,17 +137,24 @@ class GroundTruthStore(AnnotationStore):
         super().__init__(media_ids, frames, boxes, labels, media_tags)
 
 
+# Rows gathered per block by EmbeddingStore.rows().
+_ROWS_BLOCK = 1024
+
+
 class EmbeddingStore:
     """Fixed-dimension feature vectors keyed by media_id.
 
     Row i of a (count, dim) matrix is the vector of media_ids[i]. The store
-    takes ownership of the matrix (no copy when it is already float64) and
-    marks it read-only.
+    keeps the precision it is given: it takes ownership of a float32 or
+    float64 matrix (no copy) and marks it read-only; any other dtype becomes
+    float64. rows() and vector() return float64, widened exactly.
     """
 
     def __init__(self, media_ids: Iterable[str], matrix: np.ndarray):
         ids = tuple(media_ids)
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
+        if matrix.dtype not in (np.float32, np.float64):
+            matrix = matrix.astype(np.float64)
         if matrix.ndim != 2:
             raise ValidationError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
         if matrix.shape[0] != len(ids):
@@ -195,17 +202,26 @@ class EmbeddingStore:
         return self._matrix
 
     def vector(self, media_id: str) -> np.ndarray:
+        """The medium's vector as float64 (a read-only view of a float64 store's row)."""
         try:
-            return self._matrix[self._index[media_id]]
+            return self._matrix[self._index[media_id]].astype(np.float64, copy=False)
         except KeyError:
             raise KeyError(f"no embedding for media {media_id!r}") from None
 
     def rows(self, media_ids: Sequence[str]) -> np.ndarray:
-        """A new (len(media_ids), dim) matrix of the named media's vectors, in that order."""
+        """A new float64 (len(media_ids), dim) matrix of the named media's vectors, in that order.
+
+        The rows are gathered _ROWS_BLOCK at a time into the result, so a
+        float32 store is widened without a whole-size float32 temporary.
+        """
         try:
-            return self._matrix[[self._index[m] for m in media_ids]]
+            index = np.array([self._index[m] for m in media_ids], dtype=np.intp)
         except KeyError as exc:
             raise KeyError(f"no embedding for media {exc.args[0]!r}") from None
+        out = np.empty((len(index), self.dim))
+        for lo in range(0, len(index), _ROWS_BLOCK):
+            out[lo : lo + _ROWS_BLOCK] = self._matrix[index[lo : lo + _ROWS_BLOCK]]
+        return out
 
 
 class MediaIndex:

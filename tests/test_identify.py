@@ -26,7 +26,7 @@ from biomeval import (
     score,
     tar_at_far,
 )
-from biomeval import identify
+from biomeval import identify, stores
 from biomeval.identify import (
     AGGREGATION_METHODS,
     DEFAULT_FAR_TARGETS,
@@ -231,6 +231,81 @@ def same_bits(a, b):
 
 # Media counts on both sides of powers of two, where the range-max level changes.
 EDGE_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
+def full_matrix_rows(media, counts, method):
+    """Gallery rows from one whole-matrix normalisation, media / norm(media, axis=1)."""
+    unit = media / np.linalg.norm(media, axis=1)[:, None]
+    if method == "max_score":
+        return unit
+    first = np.cumsum(counts) - counts
+    means = [unit[s : s + k].mean(axis=0) for s, k in zip(first, counts)]
+    return np.stack([mean / np.linalg.norm(mean) for mean in means])
+
+
+class TestBlocks:
+    """Gallery rows are normalised, and store rows gathered, a block at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        block=st.integers(1, 4),
+        counts=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+        dim=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_norms_equal_the_whole_matrix(self, block, counts, dim, seed):
+        rng = np.random.default_rng(seed)
+        ids = [f"m{i}" for i in range(sum(counts))]
+        store = EmbeddingStore(ids, rng.normal(size=(len(ids), dim)).astype(np.float32))
+        media = store.matrix.astype(np.float64)
+        first = np.cumsum(counts) - counts
+        manifest = ProtocolManifest(
+            gallery=tuple(GalleryEntry(f"g{j}", tuple(ids[s : s + k]))
+                          for j, (s, k) in enumerate(zip(first, counts))),
+            probes=(),
+        )
+        vectors = {f"g{j}": media[s : s + k] for j, (s, k) in enumerate(zip(first, counts))}
+        with mock.patch.object(identify, "_NORM_BLOCK", block), \
+                mock.patch.object(stores, "_ROWS_BLOCK", block):
+            for method in AGGREGATION_METHODS:
+                try:
+                    galleries = (build_gallery_templates(manifest, store, method),
+                                 aggregate_gallery(vectors, method))
+                except ValidationError as exc:  # a vanishing mean, e.g. d=1 with opposite signs
+                    assert method == "mean" and "degenerate" in str(exc)
+                    continue
+                want = full_matrix_rows(media, counts, method)
+                for gallery in galleries:
+                    assert gallery.rows.tobytes() == want.tobytes(), method
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(1, 4),
+        count=st.integers(1, 9),
+        picks=st.lists(st.integers(0, 8), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float32_rows_widen_exactly(self, block, count, picks, seed):
+        matrix = np.random.default_rng(seed).normal(size=(count, 5)).astype(np.float32)
+        store = EmbeddingStore([f"m{i}" for i in range(count)], matrix)
+        index = [i % count for i in picks]
+        with mock.patch.object(stores, "_ROWS_BLOCK", block):
+            rows = store.rows([f"m{i}" for i in index])
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == matrix[index].astype(np.float64).tobytes()
+        assert store.vector(f"m{count - 1}").tobytes() == matrix[-1].astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("fault", sorted(set(GALLERY_FAULTS) - {"empty", "dim"}))
+    def test_fault_in_a_later_block_names_its_subject(self, block, fault):
+        vectors, message = GALLERY_FAULTS[fault]
+        media = {"ok": [[1.0, 0.0]], "fine": [[0.0, 2.0], [1.0, 1.0]], "bad": vectors,
+                 "also": [[0.0, 0.0]]}
+        methods = ["mean"] if fault == "antipodal" else AGGREGATION_METHODS
+        with mock.patch.object(identify, "_NORM_BLOCK", block):
+            for method in methods:
+                with pytest.raises(ValidationError, match=rf"^subject 'bad': {message}$"):
+                    aggregate_gallery(media, method)
 
 
 class TestScore:
@@ -739,6 +814,19 @@ class TestIdentificationEval:
         assert all(b >= a for a, b in zip(ys, ys[1:]))
         assert ys[-1] == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_protocols(), st.integers(0, 2**32 - 1))
+    def test_impostors_are_the_masked_cells_sorted(self, case, seed):
+        """The impostor array is the masked cells' row-major order, sorted, signs of zero included."""
+        matrix, manifest = case
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=matrix.scores.shape)
+        matrix = ScoreMatrix(matrix.probe_ids, matrix.subject_ids, matrix.scores * signs)
+        evaluation = IdentificationEval(matrix, manifest)
+        mask = np.ones(matrix.scores.shape, dtype=bool)
+        mask[evaluation.mate_rows, [matrix.subject_ids.index(p.true_subject_id)
+                                    for p in manifest.probes if manifest.is_mate(p)]] = False
+        assert evaluation.impostor.tobytes() == np.sort(matrix.scores[mask]).tobytes()
+
     def test_arrays_are_derived_once(self):
         matrix = ScoreMatrix(
             ("p0", "p1", "p2"), ("a", "b"), np.array([[0.9, 0.1], [0.5, 0.4], [0.6, 0.3]])
@@ -827,6 +915,46 @@ def test_tar_at_far_and_roc_share_one_impostor_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * matrix.scores.nbytes, peak / matrix.scores.nbytes
+
+
+def test_build_gallery_templates_peak_is_the_rows():
+    """About 1.07x the gallery rows from a float32 store: rows are widened and normalised
+    a block at a time, against 2.1x with whole-matrix norm temporaries."""
+    rng = np.random.default_rng(90)
+    subjects, per, dim = 4000, 3, 256
+    ids = [f"m{i}" for i in range(subjects * per)]
+    store = EmbeddingStore(ids, rng.normal(size=(len(ids), dim)).astype(np.float32))
+    manifest = ProtocolManifest(
+        gallery=tuple(GalleryEntry(f"g{j}", tuple(ids[j * per : (j + 1) * per]))
+                      for j in range(subjects)),
+        probes=(),
+    )
+    tracemalloc.start()
+    try:
+        gallery = build_gallery_templates(manifest, store, "max_score")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * gallery.rows.nbytes, peak / gallery.rows.nbytes
+
+
+def test_identification_eval_builds_impostors_without_a_mask():
+    """Construction stays under 1.06x the score matrix: the impostor copy and
+    small per-row arrays, with no probe-by-gallery boolean mask."""
+    rng = np.random.default_rng(91)
+    probes, subjects = 400, 2500
+    names = [f"g{j}" for j in range(subjects)]
+    manifest = manifest_for(names, [names[i * 5] if i % 4 else None for i in range(probes)])
+    matrix = ScoreMatrix(
+        tuple(f"p{i}" for i in range(probes)), tuple(names), rng.uniform(-1, 1, (probes, subjects))
+    )
+    tracemalloc.start()
+    try:
+        IdentificationEval(matrix, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.06 * matrix.scores.nbytes, peak / matrix.scores.nbytes
 
 
 # Few distinct values, so that draws hold ties and runs of zeros of both signs.
