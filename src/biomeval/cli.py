@@ -24,7 +24,7 @@ import pickle
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -82,29 +82,6 @@ def round6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration for one evaluation run.
-
-    Input paths must exist when the config is built. The command then reads
-    its inputs, hashes them with _input_digests (eval-id and eval-det in a
-    forked child while they read), and hands its outputs and the digests to
-    _write_run, which alone creates the output directory, so a run that
-    fails on its inputs leaves no directory behind.
-    """
-
-    out_dir: Path
-    inputs: dict[str, str] = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self):
-        for flag, path in self.inputs.items():
-            if not Path(path).exists():
-                raise FileNotFoundError(f"no such file ({flag}): {path}")
-        if self.out_dir.exists() and not self.out_dir.is_dir():
-            raise FileExistsError(f"output directory is a file: {self.out_dir}")
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         return round6(obj)
@@ -137,9 +114,9 @@ def _json_bytes(payload: dict) -> bytes:
 class RunOutputs:
     """What a file-writing command produced: its files' bytes by name, in write
     order, the manifest's command and config, the summary for stdout, and
-    the digests of run.inputs from _input_digests, taken as the run read them."""
+    the digests of its inputs from _input_digests, taken as the run read them."""
 
-    run: RunConfig
+    out_dir: Path
     command: str
     config: dict
     artefacts: dict[str, bytes]
@@ -170,7 +147,6 @@ def _write_run(outputs: RunOutputs) -> None:
     manifest and no temporary file. The manifest's input digests are the
     ones the command took; no input file is opened here.
     """
-    run = outputs.run
     manifest = _json_bytes({
         "tool": "biomeval",
         "version": __version__,
@@ -179,11 +155,11 @@ def _write_run(outputs: RunOutputs) -> None:
         "input_digests": outputs.digests,
         "outputs": sorted(outputs.artefacts),
     })
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = run.out_dir / "run_manifest.json"
+    outputs.out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = outputs.out_dir / "run_manifest.json"
     manifest_path.unlink(missing_ok=True)
     for name, data in (*outputs.artefacts.items(), (manifest_path.name, manifest)):
-        with _replacing(run.out_dir / name) as tmp:
+        with _replacing(outputs.out_dir / name) as tmp:
             tmp.write_bytes(data)
     sys.stdout.write(outputs.summary)
 
@@ -264,16 +240,35 @@ class _CommandParser(argparse.ArgumentParser):
         return given, extras
 
 
-def _required(value, flag: str) -> str:
-    if value is None:
-        raise BiomevalError(f"missing required input: {flag}")
-    return value
+def _run_paths(args, required: dict[str, str],
+               optional: dict[str, str] | None = None) -> tuple[Path, dict[str, str]]:
+    """(out_dir, inputs) of a file-writing run: --out as a Path, and each given
+    input's path by its name. required and optional map an input's name to its
+    flag, whose destination is the flag without its leading "--".
 
-
-def _out_dir(args) -> Path:
+    Checked in one order before any input is read: --out is given, each
+    required flag is given (in order), each given input exists, --out is not a
+    file. The command then reads its inputs, hashes them with _input_digests
+    (eval-id and eval-det in a forked child while they read), and hands its
+    outputs and the digests to _write_run, which alone creates --out, so a run
+    that fails on its inputs leaves no directory behind.
+    """
     if args.out is None:
         raise BiomevalError("missing required output directory: --out")
-    return Path(args.out)
+    inputs = {}
+    for name, flag in (*required.items(), *(optional or {}).items()):
+        path = getattr(args, flag[2:])
+        if path is not None:
+            inputs[name] = path
+        elif name in required:
+            raise BiomevalError(f"missing required input: {flag}")
+    for name, path in inputs.items():
+        if not Path(path).exists():
+            raise FileNotFoundError(f"no such file ({name}): {path}")
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise FileExistsError(f"output directory is a file: {out_dir}")
+    return out_dir, inputs
 
 
 def _child_main(call, read_fd: int, write_fd: int) -> NoReturn:
@@ -348,13 +343,8 @@ def _in_child(call, what: str):
 
 def _cmd_eval_det(args) -> RunOutputs:
     thresholds = iou_thresholds(args.iou)
-    inputs = {
-        "detections": _required(args.det, "--det"),
-        "ground_truth": _required(args.gt, "--gt"),
-    }
-    if args.media is not None:
-        inputs["media"] = args.media
-    run = RunConfig(out_dir=_out_dir(args), inputs=inputs, seed=args.seed)
+    out_dir, inputs = _run_paths(args, {"detections": "--det", "ground_truth": "--gt"},
+                                 {"media": "--media"})
 
     # The ground truth is parsed, and then the inputs hashed, in a second
     # process while this one parses the detections; a detections fault still
@@ -379,8 +369,8 @@ def _cmd_eval_det(args) -> RunOutputs:
     lines += [line("pooled", thr, report.pooled[thr]) for thr in thresholds]
     summary = "\n".join(lines) + "\n"
     return RunOutputs(
-        run, "eval-det",
-        config={"iou_thresholds": list(thresholds), "box_format": args.box_format, "seed": run.seed},
+        out_dir, "eval-det",
+        config={"iou_thresholds": list(thresholds), "box_format": args.box_format, "seed": args.seed},
         artefacts={
             "detection_report.json": _json_bytes(report.to_dict()),
             "detection_summary.txt": summary.encode("utf-8"),
@@ -393,21 +383,14 @@ def _cmd_eval_det(args) -> RunOutputs:
 def _cmd_eval_id(args) -> RunOutputs:
     rank_cap = positive_rank("rank_cap", args.rank_cap)
     targets, ranks = far_targets(args.far), report_ranks(args.ranks)
-    run = RunConfig(
-        out_dir=_out_dir(args),
-        inputs={
-            "embeddings": _required(args.emb, "--emb"),
-            "protocol": _required(args.protocol, "--protocol"),
-        },
-        seed=args.seed,
-    )
+    out_dir, inputs = _run_paths(args, {"embeddings": "--emb", "protocol": "--protocol"})
     # The settings that the report and the manifest's config share.
     settings = {"ranks": list(ranks), "far_targets": list(targets), "metric": args.metric,
                 "aggregation": args.aggregate, "rank_cap": rank_cap}
 
     # The inputs are hashed in a second process while this one loads and
     # scores them; a fault here kills that process and comes first.
-    with _in_child(lambda: _input_digests(run.inputs), "hashing the inputs") as digests:
+    with _in_child(lambda: _input_digests(inputs), "hashing the inputs") as digests:
         emb_format = sniff_embedding_format(args.emb)
         embeddings = load_embeddings(args.emb, format=emb_format)
         manifest = load_protocol(args.protocol)
@@ -453,21 +436,16 @@ def _cmd_eval_id(args) -> RunOutputs:
               for p in operating_points]
 
     artefacts["identification_report.json"] = _json_bytes(report)
-    run_config = {**settings, "embedding_format": emb_format, "seed": run.seed}
-    return RunOutputs(run, "eval-id", config=run_config, artefacts=artefacts,
+    run_config = {**settings, "embedding_format": emb_format, "seed": args.seed}
+    return RunOutputs(out_dir, "eval-id", config=run_config, artefacts=artefacts,
                       summary="\n".join(lines) + "\n", digests=input_digests)
 
 
 def _cmd_plan_batches(args) -> RunOutputs:
-    run = RunConfig(
-        out_dir=_out_dir(args),
-        inputs={"media": _required(args.media, "--media")},
-        seed=args.seed,
-    )
-    media_path = run.inputs["media"]
-    seed = run.seed
+    out_dir, inputs = _run_paths(args, {"media": "--media"})
+    seed = args.seed
 
-    index = load_media_index(media_path)
+    index = load_media_index(inputs["media"])
     plan = pk_batches(index.media_by_subject(), n=args.n, k=args.k, num_batches=args.num_batches, seed=seed)
 
     planned_media = sorted({m for batch in plan.batches for m in batch})
@@ -502,11 +480,11 @@ def _cmd_plan_batches(args) -> RunOutputs:
         payload["dataset_weights"] = {tag: weights.per_dataset[tag] for tag in sorted(weights.per_dataset)}
         payload["sampled_media"] = sample_media(weights, args.sample_count, seed)
     return RunOutputs(
-        run, "plan-batches", config=run_config,
+        out_dir, "plan-batches", config=run_config,
         artefacts={"plan.json": _json_bytes(payload)},
         summary=f"wrote plan for {args.num_batches} batch(es) of {plan.batch_size} media to "
-                f"{run.out_dir / 'plan.json'}\n",
-        digests=_input_digests(run.inputs),
+                f"{out_dir / 'plan.json'}\n",
+        digests=_input_digests(inputs),
     )
 
 

@@ -28,7 +28,7 @@ AGGREGATION_METHODS = ("mean", "max_score")
 SCORE_METRICS = ("cosine", "neg_euclidean")
 
 _SCORE_CHUNK = 1024
-# Gallery rows normalised per block, so the norms' x*x temporary stays small.
+# Rows made unit per block (gallery and probes), so the norms' x*x temporary stays small.
 _NORM_BLOCK = 1024
 # Bytes of one probe tile's range-max table, so that it stays in a core's L2 cache.
 _TILE_BYTES = 1 << 20
@@ -51,59 +51,48 @@ class Gallery:
         return len(self.subject_ids)
 
 
-def _normalized_rows(mat: np.ndarray, context: str) -> np.ndarray:
-    """A 2-D float64 array's rows over their norms; empty, non-finite or zero rows raise."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        raise ValidationError(f"{context}: expected a non-empty (m, d) array, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{context}: vectors must be finite")
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError(f"{context}: zero-norm vector cannot be normalized")
-    return mat / norms[:, None]
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """Divide a finite float64 matrix's rows by their norms in place, _NORM_BLOCK rows
+    at a time; each row's norm is the same per-row reduction whichever block holds it,
+    so the rows equal mat / norm(mat, axis=1) bit for bit. Returns which rows had a
+    zero norm (they are left NaN)."""
+    zero = np.empty(len(mat), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, len(mat), _NORM_BLOCK):
+            block = mat[lo : lo + _NORM_BLOCK]
+            norms = np.linalg.norm(block, axis=1)
+            block /= norms[:, None]
+            np.equal(norms, 0.0, out=zero[lo : lo + _NORM_BLOCK])
+    return zero
 
 
-def _stack_gallery(
-    subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str, original
-) -> Gallery:
-    """The gallery of subjects whose media rows lie consecutively in a new float64 matrix.
-
-    Subject k owns the next counts[k] >= 1 rows. The matrix is normalised
-    in place, _NORM_BLOCK rows at a time: each row's norm is the same
-    per-row reduction whichever block holds it, and the division is
-    elementwise, so the rows equal media / norm(media, axis=1) bit for bit.
-    A fault names the first faulty subject in gallery order, and
-    original(k), subject k's vectors as given, says which fault it is.
-    """
+def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str) -> Gallery:
+    """The gallery of subjects whose finite media rows lie consecutively in a new float64
+    matrix, made unit rows in place by _unit_rows. Subject k owns the next counts[k] >= 1
+    rows. The first faulty subject in gallery order is named: one with a zero-norm
+    medium or, under "mean", a vanishing mean."""
     if method not in AGGREGATION_METHODS:
         raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
     counts = np.asarray(counts, dtype=np.intp)
     first = np.cumsum(counts) - counts
-    rows = media
-    finite = np.empty(len(rows), dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, len(rows), _NORM_BLOCK):
-            block = rows[lo : lo + _NORM_BLOCK]
-            block /= np.linalg.norm(block, axis=1)[:, None]
-            # A non-finite or zero-norm medium leaves a NaN or infinite unit row.
-            np.isfinite(block).all(axis=1, out=finite[lo : lo + _NORM_BLOCK])
-        ok = np.logical_and.reduceat(finite, first)
-        starts = first
-        if method == "mean":
-            # Subjects with k media are averaged together as one (n_k, k, d) block.
-            means = np.empty((len(counts), media.shape[1]))
-            for k in _distinct(np.sort(counts)).tolist():
-                (members,) = np.nonzero(counts == k)
-                means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
-            # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
-            norms = np.array([np.linalg.norm(mean) for mean in means])
-            ok &= norms >= 1e-12
+    zero = np.logical_or.reduceat(_unit_rows(media), first)
+    faulty, rows, starts = zero, media, first
+    if method == "mean":
+        # Subjects with k media are averaged together as one (n_k, k, d) block.
+        means = np.empty((len(counts), media.shape[1]))
+        for k in _distinct(np.sort(counts)).tolist():
+            (members,) = np.nonzero(counts == k)
+            means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
+        # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
+        norms = np.array([np.linalg.norm(mean) for mean in means])
+        faulty = zero | ~(norms >= 1e-12)
+        with np.errstate(invalid="ignore", divide="ignore"):
             rows, starts = means / norms[:, None], np.arange(len(counts))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        context = f"subject {subject_ids[k]!r}"
-        _normalized_rows(original(k), context)  # raises a row fault
-        raise ValidationError(f"{context}: degenerate template (zero mean vector)")
+    if faulty.any():
+        k = int(np.argmax(faulty))
+        fault = ("zero-norm vector cannot be normalized" if zero[k]
+                 else "degenerate template (zero mean vector)")
+        raise ValidationError(f"subject {subject_ids[k]!r}: {fault}")
     rows.setflags(write=False)
     starts.setflags(write=False)
     return Gallery(subject_ids, rows, starts)
@@ -121,15 +110,18 @@ def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gall
     for subject_id, vectors in media.items():
         block = np.asarray(vectors, dtype=np.float64)
         block = block.reshape(1, -1) if block.ndim == 1 else block
-        if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != blocks[0].shape[1]):
-            aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
-            dim = blocks[0].shape[1] if blocks else "d"
-            raise ValidationError(
-                f"subject {subject_id!r}: expected a non-empty (m, {dim}) array, got {block.shape}"
-            )
-        blocks.append(block)
+        dim = blocks[0].shape[1] if blocks else "d"
+        if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != dim):
+            fault = f"expected a non-empty (m, {dim}) array, got {block.shape}"
+        elif not np.isfinite(block).all():
+            fault = "vectors must be finite"
+        else:
+            blocks.append(block)
+            continue
+        aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
+        raise ValidationError(f"subject {subject_id!r}: {fault}")
     rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
-    return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method, blocks.__getitem__)
+    return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
 
 
 def build_gallery_templates(
@@ -141,8 +133,7 @@ def build_gallery_templates(
         raise ProtocolError(f"protocol references media without embeddings: {preview(missing)}")
     media = embeddings.rows([m for e in manifest.gallery for m in e.media_ids])
     counts = [len(e.media_ids) for e in manifest.gallery]
-    return _stack_gallery(manifest.subject_ids, media, counts, method,
-                          lambda k: embeddings.rows(manifest.gallery[k].media_ids))
+    return _stack_gallery(manifest.subject_ids, media, counts, method)
 
 
 def probe_matrix(
@@ -257,7 +248,15 @@ def score(
     if rows.shape[1] != x.shape[1]:
         raise ValidationError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
     if metric == "cosine":
-        x = _normalized_rows(x, "probes")
+        if 0 in x.shape:
+            raise ValidationError(f"probes: expected a non-empty (m, d) array, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValidationError("probes: vectors must be finite")
+        x = np.array(x)  # a copy: the caller's probes are never written
+        zero = _unit_rows(x)
+        if zero.any():
+            probe_id = ids[int(np.argmax(zero))]
+            raise ValidationError(f"probe {probe_id!r}: zero-norm vector cannot be normalized")
 
     if metric == "neg_euclidean":  # |r|^2 a block of rows at a time: the rows are never copied
         parts = np.split(rows, np.arange(_SCORE_CHUNK, len(rows), _SCORE_CHUNK))

@@ -193,39 +193,33 @@ def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str
 
 
 def _checked_columns(store_type: type, box_format: str, media, frames, box, labels, tags):
-    """The frames, the (4, n) x/y/w/h array and the labels if every row is a valid
-    record of plain strings, ints and floats, else None. Integral float frames
-    read as ints."""
+    """The frames, the (4, n) x/y/w/h array and the labels if every field is a plain
+    string, int or float of its key's kind, else None. Integral float frames read
+    as ints; the store applies the record rule to the rows."""
     def only(column, *kinds) -> bool:
         return set(map(type, column)) <= set(kinds)
 
-    subjects = store_type.label_dtype is object
     if float in set(map(type, frames)):
         frames = list(map(_integral, frames))
-    if not (only(media, str) and only(frames, int) and all(only(c, int, float) for c in box)
-            and only(labels, *((str,) if subjects else (int, float)))
+    if not (only(media, str) and all(only(c, int, float) for c in box)
+            and only(labels, *((str,) if store_type.label_dtype is object else (int, float)))
             and only(tags, str, type(None))):
-        return None
-    if frames and min(frames) < 0:
         return None
     try:
         x, y, w, h = (np.array(column, dtype=np.float64) for column in box)
         labels = np.asarray(labels, dtype=store_type.label_dtype)
     except OverflowError:
         return None
-    with np.errstate(invalid="ignore"):
-        if box_format == "xyxy":
+    if box_format == "xyxy":
+        with np.errstate(invalid="ignore"):
             w, h = w - x, h - y
-        ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0)
-        if not subjects:
-            ok &= (labels >= 0) & (labels <= 1)
-    return (frames, np.stack([x, y, w, h]), labels) if ok.all() else None
+    return frames, np.stack([x, y, w, h]), labels
 
 
 def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
-    """One block's media ids, frames, x/y/w/h array, labels and tags if every line is
-    a valid record, else None. Media ids and tags go through `strings`, so each
-    distinct string is held once."""
+    """One block's media ids, frames, x/y/w/h array, labels and tags if every field
+    passes _checked_columns, else None. Media ids and tags go through `strings`, so
+    each distinct string is held once."""
     media, frames, *box, labels, tags = (
         [obj.get(key) for obj in objs]
         for key in ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
@@ -239,12 +233,13 @@ def _block_columns(store_type: type, box_format: str, objs: list[dict], strings:
 
 
 def _load_annotations(path: str | Path, box_format: str, store_type: type):
-    """Detections or ground truth, read _BLOCK_LINES lines at a time into columns that
-    are checked block by block, so the Python objects held are one block's.
+    """Detections or ground truth, read _BLOCK_LINES lines at a time into columns whose
+    fields are type-checked block by block, so the Python objects held are one block's;
+    the store then checks the rows.
 
-    Every rule of the column check is per line, so the blocks pass exactly when
-    the whole file would. If a block fails, the file is read again from line 1
-    as records (_annotation_record), which raises the error of its first faulty line.
+    If a block or the store fails, the file is read again from line 1 as records
+    (_annotation_record), which raises the error of its first faulty line. A store
+    fault with no faulty line (a repeated ground-truth box) raises as the store raised it.
     """
     if box_format not in BOX_FORMATS:
         raise ValidationError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
@@ -266,14 +261,19 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
     except ParseError:
         block = None
     lines.close()
-    if block is None:
-        for lineno, obj in _iter_jsonl(path):
-            _annotation_record(store_type, obj, lineno, box_format)
-        # The column check accepts exactly the files whose every line is a valid record.
+    fault = None
+    if block is not None:
+        media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
+        try:
+            return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
+                              media_tags=media_tags)
+        except ValidationError as exc:
+            fault = exc
+    for lineno, obj in _iter_jsonl(path):
+        _annotation_record(store_type, obj, lineno, box_format)
+    if fault is None:  # the block check rejects only files with a faulty line
         raise AssertionError(f"{path}: the column check failed a file with no faulty line")
-    media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
-    return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
-                      media_tags=media_tags)
+    raise fault
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:

@@ -49,7 +49,8 @@ class AnnotationStore:
     float64 array of x, y, w, h rows) and labels[i] (float64 scores or
     subject ids). Frame numbers stay Python ints, so they never overflow.
     The store takes ownership of the boxes (no copy when they are already
-    float64) and of a labels array, and marks them read-only.
+    float64) and of a labels array, and marks them read-only. Every row must
+    be a valid record; the first that is not fails as `row i: <its fault>`.
     """
 
     record_type: type
@@ -65,6 +66,15 @@ class AnnotationStore:
         if len(self.frames) != n or self.boxes.shape != (4, n) or self.labels.shape != (n,):
             raise ValidationError(f"columns disagree: {n} media ids, {len(self.frames)} frames, "
                                   f"boxes {self.boxes.shape}, labels {self.labels.shape}")
+        # The record rule in one pass: int frames >= 0, finite boxes with w, h > 0
+        # and scores in [0, 1]. A row it fails is built as a record for its message.
+        ok = np.isfinite(self.boxes).all(axis=0) & (self.boxes[2] > 0) & (self.boxes[3] > 0)
+        if self.label_dtype is not object:
+            ok &= (self.labels >= 0) & (self.labels <= 1)
+        frames_ok = set(map(type, self.frames)) <= {int} and min(self.frames, default=0) >= 0
+        if not (ok.all() and frames_ok):
+            for _ in self._records():
+                pass
         self._media_tags = merge_media_tags(dict.fromkeys(self.media_ids), media_tags or {})
         self._freeze()
 
@@ -91,16 +101,22 @@ class AnnotationStore:
         return iter(self.records)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.records == other.records
+        return (type(other) is type(self) and self.media_ids == other.media_ids
+                and self.frames == other.frames and np.array_equal(self.boxes, other.boxes)
+                and np.array_equal(self.labels, other.labels))
+
+    def _records(self) -> Iterator:
+        rows = zip(self.media_ids, self.frames, *self.boxes.tolist(), self.labels.tolist())
+        for i, (media_id, frame, x, y, w, h, label) in enumerate(rows):
+            try:
+                yield self.record_type(media_id, frame, BoundingBox(x, y, w, h), label)
+            except ValidationError as exc:
+                raise ValidationError(f"row {i}: {exc}") from None
 
     @property
     def records(self) -> tuple:
         """The rows as records, in input order."""
-        return tuple(
-            self.record_type(media_id, frame, BoundingBox(x, y, w, h), label)
-            for media_id, frame, x, y, w, h, label in zip(
-                self.media_ids, self.frames, *self.boxes.tolist(), self.labels.tolist())
-        )
+        return tuple(self._records())
 
     @property
     def media_tags(self) -> dict[str, str | None]:
@@ -127,14 +143,14 @@ class GroundTruthStore(AnnotationStore):
 
     def __init__(self, media_ids: Sequence[str], frames: Sequence[int], boxes, labels,
                  media_tags: Mapping[str, str | None] | None = None):
+        super().__init__(media_ids, frames, boxes, labels, media_tags)
         seen: set[tuple[str, int, str]] = set()
-        for key in zip(media_ids, frames, labels):
+        for key in zip(self.media_ids, self.frames, self.labels.tolist()):
             if key in seen:
                 raise ValidationError(
                     f"duplicate ground truth for media {key[0]!r} frame {key[1]} subject {key[2]!r}"
                 )
             seen.add(key)
-        super().__init__(media_ids, frames, boxes, labels, media_tags)
 
 
 # Rows gathered per block by EmbeddingStore.rows().
@@ -163,7 +179,10 @@ class EmbeddingStore:
             )
         if ids and matrix.shape[1] == 0:
             raise ValidationError(f"record 0: embedding for {ids[0]!r} is empty")
-        finite = np.isfinite(matrix).all(axis=1)
+        # One boolean per row, checked _ROWS_BLOCK rows at a time.
+        finite = np.empty(len(ids), dtype=bool)
+        for lo in range(0, len(ids), _ROWS_BLOCK):
+            np.isfinite(matrix[lo : lo + _ROWS_BLOCK]).all(axis=1, out=finite[lo : lo + _ROWS_BLOCK])
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValidationError(f"record {i}: embedding for {ids[i]!r} has non-finite components")

@@ -320,6 +320,20 @@ class TestEvalId:
         openset_lines = (out / "openset.csv").read_text().splitlines()
         assert openset_lines[1] == "fpir,fnir,threshold"
 
+    def test_zero_norm_probe_exits_1_naming_the_probe(self, toy_protocol_files, tmp_path, capsys):
+        _, protocol_path = toy_protocol_files
+        emb_rows = [{"media_id": m, "vector": [1.0, 0.0, 0.0]} for m in ("gm1", "gm2", "gm3")]
+        emb_rows += [{"media_id": "pm1", "vector": [1.0, 0.0, 0.0]},
+                     {"media_id": "pm2", "vector": [0.0, 0.0, 0.0]},
+                     {"media_id": "pm3", "vector": [0.0, 1.0, 0.0]}]
+        emb_path = write_jsonl(tmp_path / "zero.jsonl", emb_rows)
+        out = tmp_path / "out"
+        code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: probe 'p2': zero-norm vector cannot be normalized\n"
+        assert not out.exists()
+
     def test_protocol_without_mate_searches_exits_1(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         protocol = read_json(protocol_path)
@@ -1046,6 +1060,53 @@ def test_negative_seed_exits_1_before_reading_inputs(command, source, tmp_path, 
     assert main([command, *argv]) == 1
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
     assert not out.exists()
+
+
+# Each file-writing command's required input flags, then its optional ones, as
+# (flag, input name).
+RUN_INPUTS = {
+    "eval-det": ([("--det", "detections"), ("--gt", "ground_truth")], [("--media", "media")]),
+    "eval-id": ([("--emb", "embeddings"), ("--protocol", "protocol")], []),
+    "plan-batches": ([("--media", "media")], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_INPUTS))
+def test_run_paths_are_checked_in_one_order_before_any_input_is_read(command, tmp_path, capsys,
+                                                                     monkeypatch):
+    """--out missing, then a required input missing (in flag order), then a given input
+    absent (in flag order), then --out naming a file; each exits 1 and reads nothing."""
+    def unread(*args, **kwargs):
+        raise AssertionError("inputs were read")
+
+    for name in ("load_detections", "load_ground_truth", "load_embeddings", "load_protocol",
+                 "load_media_index", "sniff_embedding_format", "_input_digests"):
+        monkeypatch.setattr(cli, name, unread)
+    required, optional = RUN_INPUTS[command]
+    flags = required + optional
+    present = tmp_path / "present"
+    present.write_text("", encoding="utf-8")
+    out_file = tmp_path / "out_file"
+    out_file.write_text("", encoding="utf-8")
+    absent = {name: tmp_path / name for _, name in flags}
+
+    def error(*argv) -> str:
+        assert main([command, *map(str, argv)]) == 1
+        return capsys.readouterr().err
+
+    missing_out = "error: missing required output directory: --out\n"
+    assert error() == missing_out
+    assert error(*(arg for flag, name in flags for arg in (flag, absent[name]))) == missing_out
+    for i, (flag, _) in enumerate(required):
+        argv = [arg for j, (other_flag, name) in enumerate(flags) if j != i
+                for arg in (other_flag, present if j < i else absent[name])]
+        assert error("--out", out_file, *argv) == f"error: missing required input: {flag}\n"
+    for i, (_, name) in enumerate(flags):
+        argv = [arg for j, (flag, other) in enumerate(flags)
+                for arg in (flag, present if j < i else absent[other])]
+        assert error("--out", out_file, *argv) == f"error: no such file ({name}): {absent[name]}\n"
+    argv = [arg for flag, _ in flags for arg in (flag, present)]
+    assert error("--out", out_file, *argv) == f"error: output directory is a file: {out_file}\n"
 
 
 def _run_argv(command, tmp_path):

@@ -85,6 +85,37 @@ class TestAggregateGallery:
         with pytest.raises(ValidationError, match="zero-norm"):
             aggregate_gallery({"s": [[0.0, 0.0]]})
 
+    def test_zero_norm_probe_is_named(self):
+        gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
+        probes = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError,
+                           match=r"^probe 'p2': zero-norm vector cannot be normalized$"):
+            score(probes, gallery, probe_ids=["p1", "p2", "p3"])
+
+    def test_cosine_scoring_leaves_the_probes_unwritten(self):
+        gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
+        probes = np.array([[3.0, 4.0]])
+        score(probes, gallery, probe_ids=["p1"])
+        assert probes.tolist() == [[3.0, 4.0]]
+
+    @pytest.mark.parametrize("method", AGGREGATION_METHODS)
+    def test_gallery_fault_reads_the_store_once(self, method, monkeypatch):
+        embeddings = EmbeddingStore(["a", "b1", "b2"], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        manifest = ProtocolManifest(
+            gallery=(GalleryEntry("a", ("a",)), GalleryEntry("b", ("b1", "b2"))), probes=())
+        calls = []
+        rows = EmbeddingStore.rows
+
+        def counted(self, media_ids):
+            calls.append(list(media_ids))
+            return rows(self, media_ids)
+
+        monkeypatch.setattr(EmbeddingStore, "rows", counted)
+        with pytest.raises(ValidationError,
+                           match=r"^subject 'b': zero-norm vector cannot be normalized$"):
+            build_gallery_templates(manifest, embeddings, method)
+        assert calls == [["a", "b1", "b2"]]
+
     def test_max_score_keeps_media_vectors(self):
         gallery = aggregate_gallery({"s": [[1.0, 0.0], [-1.0, 0.0]]}, method="max_score")
         assert gallery.starts.tolist() == [0]

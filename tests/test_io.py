@@ -744,8 +744,9 @@ def test_binary_load_memory_stays_near_file_size(tmp_path):
 
 
 def test_binary_load_peak_is_the_file_and_one_float32_copy(tmp_path):
-    """About 2.3x the file: the bytes read, the float32 vectors gathered from them and the
-    finiteness check's booleans, against 3.3x when each vector was widened into float64."""
+    """About 2.2x the file: the bytes read, the float32 vectors gathered from them and one
+    block of the finiteness check's booleans, against 3.3x when each vector was widened
+    into float64."""
     rng = np.random.default_rng(8)
     count, dim = 2000, 512
     matrix = rng.normal(size=(count, dim)).astype(np.float32)
@@ -759,7 +760,7 @@ def test_binary_load_peak_is_the_file_and_one_float32_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.6 * size, f"peak {peak} bytes is {peak / size:.2f}x the {size}-byte file"
+    assert peak < 2.25 * size, f"peak {peak} bytes is {peak / size:.2f}x the {size}-byte file"
     assert store.matrix.tobytes() == matrix.tobytes()
 
 

@@ -154,6 +154,20 @@ class TestStores:
         store = DetectionStore(["m"], [2**70], np.ones((4, 1)), [0.5], media_tags={"m": "t"})
         assert store.frames == (2**70,) and store.media_tags == {"m": "t"}
 
+    @pytest.mark.parametrize("frame, box, score, message", [
+        (-1, (0, 0, 1, 1), 0.5, "frame index must be non-negative, got -1"),
+        (1.5, (0, 0, 1, 1), 0.5, "frame index must be an integer, got 1.5"),
+        (0, (0, 0, float("nan"), 1), 0.5, "box w must be a finite number, got nan"),
+        (0, (0, 0, 1, 1), 5.0, r"score must lie in \[0, 1\], got 5.0"),
+    ], ids=["negative-frame", "fractional-frame", "nan-width", "score-5"])
+    def test_annotation_store_rows_follow_the_record_rule(self, frame, box, score, message):
+        boxes = np.array([[0, 0, 1, 1], box], dtype=np.float64).T
+        with pytest.raises(ValidationError, match=rf"^row 1: {message}$"):
+            DetectionStore(["m", "m"], [0, frame], boxes, [0.5, score])
+        if score == 0.5:  # ground truth has no score; the frame and box rules are the same
+            with pytest.raises(ValidationError, match=rf"^row 1: {message}$"):
+                GroundTruthStore(["m", "m"], [0, frame], boxes, ["s", "t"])
+
     def test_embedding_store_matrix_read_only(self):
         store = EmbeddingStore(["a"], np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
