@@ -505,14 +505,16 @@ def _cmd_check_losses(args) -> int:
 
 
 def _cmd_convert_emb(args) -> int:
+    # Both paths are checked before the input is read, as _run_paths checks a run's.
+    out_path = Path(args.out)
     if not Path(args.emb).exists():
-        raise FileNotFoundError(f"no such file: {args.emb}")
+        raise FileNotFoundError(f"no such file (embeddings): {args.emb}")
+    if out_path.is_dir():
+        raise IsADirectoryError(f"output file is a directory: {out_path}")
     target = args.format
     source = sniff_embedding_format(args.emb)
     store = load_embeddings(args.emb, format=source)
-    out_path = Path(args.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(out_path) as tmp:
         write_embeddings(store, tmp, format=target)
     print(f"converted {len(store)} embeddings ({source} -> {target}) to {out_path}")

@@ -62,6 +62,62 @@ def iou_thresholds(values) -> tuple:
     return no_repeats("IoU thresholds", thresholds)
 
 
+def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's index among the sorted distinct keys (int64), and how many there are.
+
+    Keys that compare equal share a rank, so +0.0 and -0.0 do. (np.unique
+    would give the same, but its first call imports numpy.ma.)
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    step = np.zeros(len(keys), dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    np.cumsum(step, out=step)
+    rank = np.empty_like(step)
+    rank[order] = step
+    return rank, int(step[-1]) + 1 if len(step) else 0
+
+
+def _frame_positions(media: list[str], media_ids: Sequence[str], frames: Sequence[int]):
+    """Per row, its (media_id, frame) key's index among the sorted distinct keys, and
+    its media_id's index in media (the sorted distinct media ids), as int64 arrays.
+
+    Frames are Python ints; beyond int64 they are ranked as ints. The key
+    media code * frame count + frame code orders the keys and stays below
+    n**2 for n rows, so int64 cannot overflow.
+    """
+    code = {media_id: i for i, media_id in enumerate(media)}
+    media_code = np.fromiter(map(code.__getitem__, media_ids), dtype=np.int64, count=len(media_ids))
+    try:
+        frame_code, n_frames = _dense_rank(np.fromiter(frames, dtype=np.int64, count=len(frames)))
+    except OverflowError:
+        distinct = sorted(set(frames))
+        index = {frame: i for i, frame in enumerate(distinct)}
+        frame_code = np.fromiter(map(index.__getitem__, frames), dtype=np.int64, count=len(frames))
+        n_frames = len(distinct)
+    return _dense_rank(media_code * n_frames + frame_code)[0], media_code
+
+
+def _visiting_order(frame: np.ndarray, scores: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """Rows by frame, descending score, then area; ties keep row order. This is
+    np.lexsort((area, -scores, frame)) as one stable argsort of integer keys: each
+    factor is a dense rank below n, the row count of both stores, so each key stays
+    below n**2 and int64 cannot overflow."""
+    by_score, n_scores = _dense_rank(-scores)
+    by_frame, _ = _dense_rank(frame * n_scores + by_score)
+    by_area, n_areas = _dense_rank(area)
+    return np.argsort(by_frame * n_areas + by_area, kind="stable")
+
+
+def _candidate_order(rank: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Positions by rank (non-negative ints), then descending value; ties keep
+    position order. This is np.lexsort((-value, rank)) as one stable argsort of an
+    integer key below (max rank + 1) * len(value): in _match, the prediction count
+    times a chunk's pairs."""
+    by_value, n_values = _dense_rank(-value)
+    return np.argsort(rank * n_values + by_value, kind="stable")
+
+
 def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:
     """The prediction rows each threshold matches: match_frame's rule on every frame at once.
 
@@ -75,7 +131,7 @@ def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> li
     """
     (px, py, pw, ph), (gx, gy, gw, gh) = pred_boxes, gt_boxes
     parea, garea = pw * ph, gw * gh
-    order = np.lexsort((parea, -scores, pred_frame))  # visiting order; ties keep row order
+    order = _visiting_order(pred_frame, scores, parea)
     first = np.searchsorted(gt_frame, pred_frame[order], "left")
     pairs = np.searchsorted(gt_frame, pred_frame[order], "right") - first
     ends = np.cumsum(pairs)
@@ -96,7 +152,7 @@ def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> li
         with np.errstate(invalid="ignore", divide="ignore"):
             value = inter / (parea[p] + garea[g] - inter)
         keep = np.flatnonzero((value > 0) & (value >= min(thresholds)))
-        keep = keep[np.lexsort((-value[keep], rank[keep]))]  # stable: ground truth stays ascending
+        keep = keep[_candidate_order(rank[keep], value[keep])]  # ground truth stays ascending
         for thr, took, rows in zip(thresholds, taken, matched):
             reach = keep[value[keep] >= thr]
             done = -1
@@ -209,24 +265,24 @@ def evaluate_detections(
     thresholds = iou_thresholds(thresholds)
     tags = merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
 
-    frames = sorted(set(zip(dets.media_ids, dets.frames)).union(zip(gts.media_ids, gts.frames)))
-    for media_id, _ in frames:
+    media = sorted(set(dets.media_ids).union(gts.media_ids))
+    for media_id in media:
         if tags.get(media_id) is None:
             raise ValidationError(f"media {media_id!r} has no dataset_tag in the media index")
-    groups = sorted({tags[media_id] for media_id, _ in frames})
+    groups = sorted({tags[media_id] for media_id in media})
     group_of = {tag: i for i, tag in enumerate(groups)}
-    frame_group = np.array([group_of[tags[media_id]] for media_id, _ in frames], dtype=np.int64)
-    position = {key: k for k, key in enumerate(frames)}
+    media_group = np.array([group_of[tags[media_id]] for media_id in media], dtype=np.int64)
 
-    def row_frames(store) -> np.ndarray:
-        keys = map(position.__getitem__, zip(store.media_ids, store.frames))
-        return np.fromiter(keys, dtype=np.int64, count=len(store))
+    position, media_code = _frame_positions(media, dets.media_ids + gts.media_ids,
+                                            dets.frames + gts.frames)
+    row_group = media_group[media_code]
+    pred_frame, gt_frame = position[: len(dets)], position[len(dets) :]
+    pred_group, gt_group = row_group[: len(dets)], row_group[len(dets) :]
 
-    def group_counts(row_frame: np.ndarray) -> list[int]:
-        return np.bincount(frame_group[row_frame], minlength=len(groups)).tolist()
+    def group_counts(row_group: np.ndarray) -> list[int]:
+        return np.bincount(row_group, minlength=len(groups)).tolist()
 
     # Within a frame both stores keep file order, which _match's tie rules read.
-    pred_frame, gt_frame = row_frames(dets), row_frames(gts)
     gt_order = np.argsort(gt_frame, kind="stable")
     matched = _match(pred_frame, dets.boxes, dets.labels,
                      gt_frame[gt_order], gts.boxes[:, gt_order], thresholds)
@@ -234,7 +290,7 @@ def evaluate_detections(
     pooled: dict[float, MatchCounts] = {thr: MatchCounts() for thr in thresholds}
     for thr, rows in zip(thresholds, matched):
         for tag, tp, n_pred, n_gt in zip(
-            groups, group_counts(pred_frame[rows]), group_counts(pred_frame), group_counts(gt_frame)
+            groups, group_counts(pred_group[rows]), group_counts(pred_group), group_counts(gt_group)
         ):
             per_group[(tag, thr)] = MatchCounts(tp, n_pred - tp, n_gt - tp)
             pooled[thr] = pooled[thr] + per_group[(tag, thr)]

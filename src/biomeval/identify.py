@@ -30,6 +30,8 @@ SCORE_METRICS = ("cosine", "neg_euclidean")
 _SCORE_CHUNK = 1024
 # Rows made unit per block (gallery and probes), so the norms' x*x temporary stays small.
 _NORM_BLOCK = 1024
+# Score cells compared per block when IdentificationEval counts mate ranks.
+_RANK_CELLS = 1 << 16
 # Bytes of one probe tile's range-max table, so that it stays in a core's L2 cache.
 _TILE_BYTES = 1 << 20
 
@@ -215,6 +217,14 @@ def _subject_maxima(starts: np.ndarray, n_rows: int):
     return reduce
 
 
+def _squared_norms(mat: np.ndarray) -> np.ndarray:
+    """Each row's x.x (inf where it overflows), _SCORE_CHUNK rows at a time: the rows are
+    never copied whole, and each row's sum is the same whichever block holds it."""
+    parts = np.split(mat, np.arange(_SCORE_CHUNK, len(mat), _SCORE_CHUNK))
+    with np.errstate(over="ignore"):
+        return np.concatenate([(part * part).sum(axis=1) for part in parts])
+
+
 def score(
     probes: np.ndarray,
     gallery: Gallery,
@@ -247,20 +257,24 @@ def score(
     rows = gallery.rows
     if rows.shape[1] != x.shape[1]:
         raise ValidationError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
+    # The first probe that is not finite, or whose squared norm overflows, is named.
+    finite = np.isfinite(x).all(axis=1)
+    fits = finite
+    if metric == "neg_euclidean":
+        probe_sq, row_sq = _squared_norms(x), _squared_norms(rows)
+        fits = np.isfinite(probe_sq)
+    if not fits.all():
+        i = int(np.argmin(fits))
+        fault = "squared norm overflows float64" if finite[i] else "vectors must be finite"
+        raise ValidationError(f"probe {ids[i]!r}: {fault}")
     if metric == "cosine":
         if 0 in x.shape:
             raise ValidationError(f"probes: expected a non-empty (m, d) array, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValidationError("probes: vectors must be finite")
         x = np.array(x)  # a copy: the caller's probes are never written
         zero = _unit_rows(x)
         if zero.any():
             probe_id = ids[int(np.argmax(zero))]
             raise ValidationError(f"probe {probe_id!r}: zero-norm vector cannot be normalized")
-
-    if metric == "neg_euclidean":  # |r|^2 a block of rows at a time: the rows are never copied
-        parts = np.split(rows, np.arange(_SCORE_CHUNK, len(rows), _SCORE_CHUNK))
-        row_sq = np.concatenate([(part * part).sum(axis=1) for part in parts])
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
     scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
     # One row per subject: the product is the score block. Otherwise every
@@ -275,7 +289,7 @@ def score(
         if metric == "neg_euclidean":
             # -sqrt(|x|^2 - 2 x.r + |r|^2), built in place on the product.
             block *= -2.0
-            block += (chunk * chunk).sum(axis=1)[:, None]
+            block += probe_sq[lo : lo + step, None]
             block += row_sq
             np.maximum(block, 0.0, out=block)
             np.sqrt(block, out=block)
@@ -441,11 +455,13 @@ class IdentificationEval:
         self.non_mate_rows = np.flatnonzero(mate_columns < 0)
         mate_columns = mate_columns[self.mate_rows]
         self.genuine = scores[self.mate_rows, mate_columns]
-        # Pessimistic rank: ties count against the mate. Non-mate rows compare
-        # against +inf and count nothing; the mate's own >= adds the leading 1.
-        bar = np.full(len(scores), np.inf)
-        bar[self.mate_rows] = self.genuine
-        self.ranks = (scores >= bar[:, None]).sum(axis=1)[self.mate_rows]
+        # Pessimistic rank: ties count against the mate; the mate's own >= adds the
+        # leading 1. Mate rows only, _RANK_CELLS cells at a time.
+        self.ranks = np.empty(len(self.mate_rows), dtype=np.intp)
+        step = max(1, _RANK_CELLS // max(1, scores.shape[1]))
+        for lo in range(0, len(self.mate_rows), step):
+            rows, bar = self.mate_rows[lo : lo + step], self.genuine[lo : lo + step, None]
+            self.ranks[lo : lo + step] = (scores[rows] >= bar).sum(axis=1)
         # No gallery columns, no top scores; every metric then raises ProtocolError.
         self.tops = scores.max(axis=1) if scores.size else np.full(len(scores), -np.inf)
         # Every cell but the mates', copied in row-major order (a boolean

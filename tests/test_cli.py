@@ -815,6 +815,28 @@ class TestConvertEmb:
         main(["convert-emb", "--emb", str(first), "--format", "binary", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("fault", ["missing-input", "out-is-a-directory"])
+    def test_bad_path_exits_1_before_reading_the_input(self, tmp_path, capsys, monkeypatch,
+                                                        toy_protocol_files, fault):
+        emb_path, _ = toy_protocol_files
+        work = tmp_path / "work"
+        (work / "out.bemb").mkdir(parents=True)
+        if fault == "missing-input":
+            emb, out = work / "absent.jsonl", work / "new" / "e.bemb"
+            message = f"no such file (embeddings): {emb}"
+        else:
+            emb, out = emb_path, work / "out.bemb"
+            message = f"output file is a directory: {out}"
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "sniff_embedding_format", no_read)
+        monkeypatch.setattr(cli, "load_embeddings", no_read)
+        code = main(["convert-emb", "--emb", str(emb), "--format", "binary", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.relative_to(work).as_posix() for p in sorted(work.rglob("*"))] == ["out.bemb"]
 
     def test_failed_write_leaves_no_output_and_no_temporary_file(self, tmp_path, capsys,
                                                                  monkeypatch, toy_protocol_files):

@@ -302,6 +302,44 @@ def _interleaved(records, keys):
     return [queues[key].pop() for key in keys]
 
 
+class TestIntegerOrders:
+    """The integer-key orders equal the sorts they stand for, on tie-heavy data."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                                   st.sampled_from([1.0, 2.5, 6.0, np.inf])), max_size=60))
+    def test_visiting_order_is_the_lexsort(self, rows):
+        frame = np.array([f for f, _, _ in rows], dtype=np.int64)
+        scores = np.array([score for _, score, _ in rows], dtype=np.float64)
+        area = np.array([a for _, _, a in rows], dtype=np.float64)
+        order = detection._visiting_order(frame, scores, area)
+        assert order.tolist() == np.lexsort((area, -scores, frame)).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.25, 0.5, 0.5 + 2**-52, 1.0])),
+                          max_size=60),
+           ascending=st.booleans())
+    def test_candidate_order_is_the_lexsort(self, pairs, ascending):
+        pairs = sorted(pairs, key=lambda pair: pair[0]) if ascending else pairs
+        rank = np.array([r for r, _ in pairs], dtype=np.int64)
+        value = np.array([v for _, v in pairs], dtype=np.float64)
+        assert (detection._candidate_order(rank, value).tolist()
+                == np.lexsort((-value, rank)).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), big=st.booleans())
+    def test_frame_positions_index_the_sorted_keys(self, data, big):
+        pool = [0, 1, 7, 2**63 - 1] + ([2**64, 2**64 + 1, 2**70] if big else [])
+        keys = data.draw(st.lists(st.tuples(st.sampled_from(["m10", "m9", "b", "a-2"]),
+                                            st.sampled_from(pool)), max_size=40))
+        media_ids, frames = tuple(m for m, _ in keys), tuple(f for _, f in keys)
+        media = sorted(set(media_ids))
+        position, media_code = detection._frame_positions(media, media_ids, frames)
+        distinct = sorted(set(keys))
+        assert position.tolist() == [distinct.index(key) for key in keys]
+        assert media_code.tolist() == [media.index(m) for m in media_ids]
+
+
 class TestColumnarMatching:
     @settings(max_examples=80, deadline=None)
     @given(

@@ -3,6 +3,7 @@ import math
 import re
 import weakref
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,31 @@ class TestAggregateGallery:
         with pytest.raises(ValidationError,
                            match=r"^probe 'p2': zero-norm vector cannot be normalized$"):
             score(probes, gallery, probe_ids=["p1", "p2", "p3"])
+
+    @pytest.mark.parametrize("metric, probe, message", [
+        ("neg_euclidean", [np.nan, 0.0], "vectors must be finite"),
+        ("neg_euclidean", [-np.inf, 0.0], "vectors must be finite"),
+        ("neg_euclidean", [1e200, 0.0], "squared norm overflows float64"),
+        ("cosine", [0.0, np.nan], "vectors must be finite"),
+    ])
+    def test_faulty_probe_is_named_before_any_warning(self, metric, probe, message):
+        gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
+        probes = np.array([[1.0, 1.0], probe, [np.nan, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^probe 'p2': {message}$"):
+                score(probes, gallery, metric, probe_ids=["p1", "p2", "p3"])
+
+    def test_neg_euclidean_probe_norms_match_per_chunk_norms(self):
+        rng = np.random.default_rng(3)
+        gallery = aggregate_gallery({f"s{j}": rng.normal(size=(1, 8)) for j in range(3)})
+        probes = rng.normal(scale=1e3, size=(2 * identify._SCORE_CHUNK + 5, 8))
+        ids = [f"p{i}" for i in range(len(probes))]
+        got = score(probes, gallery, "neg_euclidean", probe_ids=ids).scores
+        cross = probes @ gallery.rows.T
+        want = -np.sqrt(np.maximum(-2.0 * cross + (probes * probes).sum(axis=1)[:, None]
+                                   + (gallery.rows * gallery.rows).sum(axis=1), 0.0))
+        assert np.array_equal(got, want)
 
     def test_cosine_scoring_leaves_the_probes_unwritten(self):
         gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
