@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError, brief, no_repeats, preview
 from .records import BoundingBox, DetectionRecord, GroundTruthRecord
-from .stores import DetectionStore, GroundTruthStore, box_columns, merge_media_tags
+from .stores import DetectionStore, GroundTruthStore, box_columns
 
 DEFAULT_IOU_THRESHOLDS = (0.35, 0.5, 0.7)
 # Same-frame (prediction, ground truth) pairs scored at a time; bounds memory in crowds.
@@ -89,12 +89,10 @@ def _frame_positions(media: list[str], media_ids: Sequence[str], frames: Sequenc
     code = {media_id: i for i, media_id in enumerate(media)}
     media_code = np.fromiter(map(code.__getitem__, media_ids), dtype=np.int64, count=len(media_ids))
     try:
-        frame_code, n_frames = _dense_rank(np.fromiter(frames, dtype=np.int64, count=len(frames)))
+        keys = np.fromiter(frames, dtype=np.int64, count=len(frames))
     except OverflowError:
-        distinct = sorted(set(frames))
-        index = {frame: i for i, frame in enumerate(distinct)}
-        frame_code = np.fromiter(map(index.__getitem__, frames), dtype=np.int64, count=len(frames))
-        n_frames = len(distinct)
+        keys = np.array(frames, dtype=object)
+    frame_code, n_frames = _dense_rank(keys)
     return _dense_rank(media_code * n_frames + frame_code)[0], media_code
 
 
@@ -250,6 +248,22 @@ class DetectionReport:
         }
 
 
+def _merge_media_tags(*sources: Mapping[str, str | None]) -> dict[str, str | None]:
+    """Merge media_id -> dataset tag mappings in order; a tag fills in an unknown (None)
+    tag, and a different tag for a tagged medium is an error."""
+    tags: dict[str, str | None] = {}
+    for source in sources:
+        for media_id, tag in source.items():
+            known = tags.get(media_id)
+            if known is None:
+                tags[media_id] = tag
+            elif tag is not None and tag != known:
+                raise ValidationError(
+                    f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
+                )
+    return tags
+
+
 def evaluate_detections(
     dets: DetectionStore,
     gts: GroundTruthStore,
@@ -258,12 +272,12 @@ def evaluate_detections(
 ) -> DetectionReport:
     """Score detections against ground truth at each IoU threshold.
 
-    Grouping is by dataset_tag, taken from the stores' media tags (an
-    explicit media_tags mapping may supply missing ones). Every medium
+    Grouping is by dataset_tag, merged (_merge_media_tags) from the ground
+    truth's media tags, then the detections', then media_tags. Every medium
     under evaluation must resolve to a tag.
     """
     thresholds = iou_thresholds(thresholds)
-    tags = merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
+    tags = _merge_media_tags(gts.media_tags, dets.media_tags, media_tags or {})
 
     media = sorted(set(dets.media_ids).union(gts.media_ids))
     for media_id in media:

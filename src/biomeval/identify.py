@@ -257,6 +257,8 @@ def score(
     rows = gallery.rows
     if rows.shape[1] != x.shape[1]:
         raise ValidationError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
+    if 0 in x.shape:
+        raise ValidationError(f"probes: expected a non-empty (m, d) array, got {x.shape}")
     # The first probe that is not finite, or whose squared norm overflows, is named.
     finite = np.isfinite(x).all(axis=1)
     fits = finite
@@ -268,8 +270,6 @@ def score(
         fault = "squared norm overflows float64" if finite[i] else "vectors must be finite"
         raise ValidationError(f"probe {ids[i]!r}: {fault}")
     if metric == "cosine":
-        if 0 in x.shape:
-            raise ValidationError(f"probes: expected a non-empty (m, d) array, got {x.shape}")
         x = np.array(x)  # a copy: the caller's probes are never written
         zero = _unit_rows(x)
         if zero.any():

@@ -192,10 +192,17 @@ def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str
         raise ValidationError(f"line {lineno}: {exc}") from None
 
 
-def _checked_columns(store_type: type, box_format: str, media, frames, box, labels, tags):
-    """The frames, the (4, n) x/y/w/h array and the labels if every field is a plain
-    string, int or float of its key's kind, else None. Integral float frames read
-    as ints; the store applies the record rule to the rows."""
+def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
+    """One block's media ids, frames, (4, n) x/y/w/h array, labels and media tags (each
+    medium's tag on its first line in the block) if every field is a plain string, int
+    or float of its key's kind, else None. Integral float frames read as ints; the store
+    applies the record rule to the rows. Media ids and tags go through `strings`, so
+    each distinct string is held once."""
+    media, frames, *box, labels, tags = (
+        [obj.get(key) for obj in objs]
+        for key in ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
+    )
+
     def only(column, *kinds) -> bool:
         return set(map(type, column)) <= set(kinds)
 
@@ -213,23 +220,11 @@ def _checked_columns(store_type: type, box_format: str, media, frames, box, labe
     if box_format == "xyxy":
         with np.errstate(invalid="ignore"):
             w, h = w - x, h - y
-    return frames, np.stack([x, y, w, h]), labels
-
-
-def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
-    """One block's media ids, frames, x/y/w/h array, labels and tags if every field
-    passes _checked_columns, else None. Media ids and tags go through `strings`, so
-    each distinct string is held once."""
-    media, frames, *box, labels, tags = (
-        [obj.get(key) for obj in objs]
-        for key in ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
-    )
-    checked = _checked_columns(store_type, box_format, media, frames, box, labels, tags)
-    if checked is None:
-        return None
     intern = strings.setdefault
-    return ([intern(m, m) for m in media], *checked,
-            [None if tag is None else intern(tag, tag) for tag in tags])
+    media = [intern(m, m) for m in media]
+    first = dict(zip(reversed(media), reversed(tags)))
+    return media, frames, np.stack([x, y, w, h]), labels, {
+        m: None if tag is None else intern(tag, tag) for m, tag in first.items()}
 
 
 def _load_annotations(path: str | Path, box_format: str, store_type: type):
@@ -243,7 +238,7 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
     """
     if box_format not in BOX_FORMATS:
         raise ValidationError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
-    media, frames, boxes, labels, tags, strings = [], [], [], [], [], {}
+    media, frames, boxes, labels, media_tags, strings = [], [], [], [], {}, {}
     lines = _iter_jsonl(path)
     try:
         while True:
@@ -255,7 +250,8 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
             frames += block[1]
             boxes.append(block[2])
             labels.append(block[3])
-            tags += block[4]
+            for media_id, tag in block[4].items():  # a medium's first line wins
+                media_tags.setdefault(media_id, tag)
             if len(objs) < _BLOCK_LINES:
                 break
     except ParseError:
@@ -263,7 +259,6 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
     lines.close()
     fault = None
     if block is not None:
-        media_tags = dict(zip(reversed(media), reversed(tags)))  # a medium's first line wins
         try:
             return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
                               media_tags=media_tags)

@@ -21,22 +21,6 @@ from .records import (
 )
 
 
-def merge_media_tags(*sources: Mapping[str, str | None]) -> dict[str, str | None]:
-    """Merge media_id -> dataset tag mappings in order; a tag fills in an unknown (None)
-    tag, and a different tag for a tagged medium is an error."""
-    tags: dict[str, str | None] = {}
-    for source in sources:
-        for media_id, tag in source.items():
-            known = tags.get(media_id)
-            if known is None:
-                tags[media_id] = tag
-            elif tag is not None and tag != known:
-                raise ValidationError(
-                    f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
-                )
-    return tags
-
-
 def box_columns(records: Iterable) -> np.ndarray:
     """The records' boxes as a (4, n) float64 array of x, y, w, h rows."""
     return np.array([rec.box.as_tuple() for rec in records], dtype=np.float64).reshape(-1, 4).T
@@ -47,7 +31,8 @@ class AnnotationStore:
 
     Row i is media_ids[i], frames[i], column i of boxes (a read-only (4, n)
     float64 array of x, y, w, h rows) and labels[i] (float64 scores or
-    subject ids). Frame numbers stay Python ints, so they never overflow.
+    subject ids). Frames may be any integer column, an ndarray included, and
+    are kept as Python ints, so they never overflow.
     The store takes ownership of the boxes (no copy when they are already
     float64) and of a labels array, and marks them read-only. Every row must
     be a valid record; the first that is not fails as `row i: <its fault>`.
@@ -59,6 +44,8 @@ class AnnotationStore:
 
     def __init__(self, media_ids: Sequence[str], frames: Sequence[int], boxes, labels,
                  media_tags: Mapping[str, str | None] | None = None):
+        if isinstance(frames, np.ndarray):
+            frames = frames.tolist()
         self.media_ids, self.frames = tuple(media_ids), tuple(frames)
         self.boxes = np.asarray(boxes, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=self.label_dtype)
@@ -67,7 +54,8 @@ class AnnotationStore:
             raise ValidationError(f"columns disagree: {n} media ids, {len(self.frames)} frames, "
                                   f"boxes {self.boxes.shape}, labels {self.labels.shape}")
         # The record rule in one pass: int frames >= 0, finite boxes with w, h > 0
-        # and scores in [0, 1]. A row it fails is built as a record for its message.
+        # and scores in [0, 1]. A row it fails is built as a record for its message;
+        # rows that all pass as records may hold other integer types, kept as ints.
         ok = np.isfinite(self.boxes).all(axis=0) & (self.boxes[2] > 0) & (self.boxes[3] > 0)
         if self.label_dtype is not object:
             ok &= (self.labels >= 0) & (self.labels <= 1)
@@ -75,7 +63,8 @@ class AnnotationStore:
         if not (ok.all() and frames_ok):
             for _ in self._records():
                 pass
-        self._media_tags = merge_media_tags(dict.fromkeys(self.media_ids), media_tags or {})
+            self.frames = tuple(map(int, self.frames))
+        self._media_tags = {**dict.fromkeys(self.media_ids), **(media_tags or {})}
         self._freeze()
 
     @classmethod

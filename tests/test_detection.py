@@ -227,6 +227,23 @@ class TestEvaluateDetections:
         with pytest.raises(ValidationError, match="dataset_tag"):
             evaluate_detections(dets, gts)
 
+    @pytest.mark.parametrize("gt_tag, det_tag, media_tags, group, error", [
+        ("a", "b", None, None, "media 'm' carries conflicting dataset tags 'a' and 'b'"),
+        (None, "b", None, "b", None),
+        (None, None, {"m": "c"}, "c", None),
+        ("a", None, {"m": "c"}, None, "media 'm' carries conflicting dataset tags 'a' and 'c'"),
+        (None, None, {"m": None}, None, "media 'm' has no dataset_tag in the media index"),
+    ], ids=["conflict", "detections-fill-in", "media-fill-in", "media-conflict", "untagged"])
+    def test_tags_merge_ground_truth_then_detections_then_media(self, gt_tag, det_tag,
+                                                                media_tags, group, error):
+        dets = DetectionStore.from_records([det("m", 0, 0, 0, 1, 1, 0.5)], media_tags={"m": det_tag})
+        gts = GroundTruthStore.from_records([gt("m", 0, 0, 0, 1, 1)], media_tags={"m": gt_tag})
+        if error is not None:
+            with pytest.raises(ValidationError, match=rf"^{error}$"):
+                evaluate_detections(dets, gts, media_tags=media_tags)
+        else:
+            assert evaluate_detections(dets, gts, media_tags=media_tags).groups == (group,)
+
     def test_bad_thresholds_rejected(self):
         dets, gts = _two_group_stores()
         with pytest.raises(ValidationError):

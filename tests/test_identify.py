@@ -107,6 +107,13 @@ class TestAggregateGallery:
             with pytest.raises(ValidationError, match=rf"^probe 'p2': {message}$"):
                 score(probes, gallery, metric, probe_ids=["p1", "p2", "p3"])
 
+    @pytest.mark.parametrize("metric", ["cosine", "neg_euclidean"])
+    def test_empty_probe_array_is_rejected_under_either_metric(self, metric):
+        gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
+        with pytest.raises(ValidationError,
+                           match=r"^probes: expected a non-empty \(m, d\) array, got \(0, 2\)$"):
+            score(np.empty((0, 2)), gallery, metric, probe_ids=[])
+
     def test_neg_euclidean_probe_norms_match_per_chunk_norms(self):
         rng = np.random.default_rng(3)
         gallery = aggregate_gallery({f"s{j}": rng.normal(size=(1, 8)) for j in range(3)})

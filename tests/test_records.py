@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biomeval import (
     BoundingBox,
@@ -153,6 +155,42 @@ class TestStores:
             DetectionStore(["m"], [0], np.ones((4, 1)), [0.5, 0.6])
         store = DetectionStore(["m"], [2**70], np.ones((4, 1)), [0.5], media_tags={"m": "t"})
         assert store.frames == (2**70,) and store.media_tags == {"m": "t"}
+
+    @pytest.mark.parametrize("store_type, labels", [
+        (DetectionStore, [0.5, 0.25, 0.75]), (GroundTruthStore, ["s", "s", "t"]),
+    ])
+    def test_integer_ndarray_frames_take_the_fast_path_as_ints(self, store_type, labels,
+                                                               monkeypatch):
+        class CountingRecord(store_type.record_type):
+            calls = 0
+
+            def __post_init__(self):
+                CountingRecord.calls += 1
+                super().__post_init__()
+
+        boxes = np.ones((4, 3))
+        want = store_type(["m", "m", "n"], [4, 2**40, 0], boxes, labels)
+        monkeypatch.setattr(store_type, "record_type", CountingRecord)
+        store = store_type(["m", "m", "n"], np.array([4, 2**40, 0]), boxes, labels)
+        assert store == want and all(type(frame) is int for frame in store.frames)
+        assert CountingRecord.calls == 0
+
+    def test_integer_frames_of_numpy_scalars_are_kept_as_ints(self):
+        store = DetectionStore(["m", "m"], [np.int64(3), np.uint8(1)], np.ones((4, 2)), [0.5, 0.5])
+        assert store.frames == (3, 1) and all(type(frame) is int for frame in store.frames)
+
+    def test_float_ndarray_frames_name_the_python_float(self):
+        with pytest.raises(ValidationError, match=r"^row 0: frame index must be an integer, got 1.5$"):
+            DetectionStore(["m"], np.array([1.5]), np.ones((4, 1)), [0.5])
+
+    @given(media_ids=st.lists(st.sampled_from("abcde"), max_size=8),
+           media_tags=st.dictionaries(st.sampled_from("abcdefg"),
+                                      st.none() | st.sampled_from(["t", "u"]), max_size=7))
+    def test_media_tags_are_the_store_media_then_the_given_tags(self, media_ids, media_tags):
+        store = DetectionStore(media_ids, [0] * len(media_ids), np.ones((4, len(media_ids))),
+                               [0.5] * len(media_ids), media_tags=media_tags)
+        union = {**dict.fromkeys(media_ids), **media_tags}
+        assert store.media_tags == union and list(store.media_tags) == list(union)
 
     @pytest.mark.parametrize("frame, box, score, message", [
         (-1, (0, 0, 1, 1), 0.5, "frame index must be non-negative, got -1"),
