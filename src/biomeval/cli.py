@@ -396,8 +396,11 @@ def _cmd_eval_id(args) -> RunOutputs:
         manifest = load_protocol(args.protocol)
         gallery = build_gallery_templates(manifest, embeddings, method=args.aggregate)
         probe_ids, probes = probe_matrix(manifest, embeddings)
-        evaluation = IdentificationEval(score(probes, gallery, metric=args.metric, probe_ids=probe_ids),
-                                        manifest)
+        del embeddings  # each input is released after its last reader
+        matrix = score(probes, gallery, metric=args.metric, probe_ids=probe_ids)
+        del gallery, probes
+        evaluation = IdentificationEval(matrix, manifest)
+        del matrix
 
         gallery_size = len(manifest.gallery)
         rank_accuracy = {str(k): evaluation.rank_k_accuracy(k) for k in ranks}

@@ -446,9 +446,7 @@ class IdentificationEval:
                 raise ProtocolError(f"probe {probe_id!r} is not in the protocol")
             if manifest.is_mate(probe):
                 if probe.true_subject_id not in columns:
-                    raise ProtocolError(
-                        f"mate subject {probe.true_subject_id!r} has no gallery column"
-                    )
+                    raise ProtocolError(f"mate subject {probe.true_subject_id!r} has no gallery column")
                 mate_columns[i] = columns[probe.true_subject_id]
         scores = matrix.scores
         self.mate_rows = np.flatnonzero(mate_columns >= 0)
@@ -464,16 +462,12 @@ class IdentificationEval:
             self.ranks[lo : lo + step] = (scores[rows] >= bar).sum(axis=1)
         # No gallery columns, no top scores; every metric then raises ProtocolError.
         self.tops = scores.max(axis=1) if scores.size else np.full(len(scores), -np.inf)
-        # Every cell but the mates', copied in row-major order (a boolean
-        # mask's order), then sorted in place: a reordering before the
-        # unstable sort could change which of +0.0 and -0.0 a threshold reads.
-        flat = scores.reshape(-1)
-        self.impostor = np.empty(flat.size - self.mate_rows.size)
-        done = 0
-        for skipped, cut in enumerate((self.mate_rows * scores.shape[1] + mate_columns).tolist()):
-            self.impostor[done - skipped : cut - skipped] = flat[done:cut]
-            done = cut + 1
-        self.impostor[done - self.mate_rows.size :] = flat[done:]
+        # Every cell but the mates', in row-major order (a boolean mask's order: the
+        # cuts at the mate cells ascend, one per row, and each later piece starts with
+        # its mate), then sorted in place: a reordering before the unstable sort could
+        # change which of +0.0 and -0.0 a threshold reads.
+        pieces = np.split(scores.reshape(-1), self.mate_rows * scores.shape[1] + mate_columns)
+        self.impostor = np.concatenate([pieces[0], *(p[1:] for p in pieces[1:])], dtype=np.float64)
         self.impostor.sort()
         self.impostor.setflags(write=False)
         self.gallery_size = scores.shape[1]

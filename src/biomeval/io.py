@@ -408,9 +408,12 @@ def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "tex
                 obj = {"media_id": media_id, "vector": [float(v) for v in row]}
                 fh.write(json.dumps(obj) + "\n")
         return
-    matrix = np.asarray(store.matrix, dtype="<f4")
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        raise FormatError("vector component overflows the 32-bit float range")
+    with np.errstate(over="ignore"):
+        matrix = np.asarray(store.matrix, dtype="<f4")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"record {i}: vector for {store.media_ids[i]!r} overflows the 32-bit float range")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, store.dim, len(store)))
         for media_id, row in zip(store.media_ids, matrix):

@@ -92,7 +92,7 @@ class AnnotationStore:
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.media_ids == other.media_ids
                 and self.frames == other.frames and np.array_equal(self.boxes, other.boxes)
-                and np.array_equal(self.labels, other.labels))
+                and np.array_equal(self.labels, other.labels) and self._media_tags == other._media_tags)
 
     def _records(self) -> Iterator:
         rows = zip(self.media_ids, self.frames, *self.boxes.tolist(), self.labels.tolist())

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -581,6 +582,46 @@ class TestEvalId:
                      "--out", str(tmp_path / "out"), "--rank-cap", "2"]) == 0
         assert len(built) == 1
 
+    def test_each_input_is_released_after_its_last_reader(self, toy_protocol_files, tmp_path,
+                                                          monkeypatch):
+        """When IdentificationEval reduces the scores, the embedding store, the gallery and
+        the probe rows are gone; when the first metric runs, so is the score matrix."""
+        from biomeval.identify import IdentificationEval
+
+        refs, alive = {}, {}
+
+        def watch(name, pick=lambda result: result):
+            call = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                result = call(*args, **kwargs)
+                refs[name] = weakref.ref(pick(result))
+                return result
+            monkeypatch.setattr(cli, name, wrapper)
+
+        def living():
+            return sorted(name for name, ref in refs.items() if ref() is not None)
+
+        def evaluate(matrix, manifest):
+            alive["reduction"] = living()
+            return IdentificationEval(matrix, manifest)
+
+        rank_k_accuracy = IdentificationEval.rank_k_accuracy
+
+        def first_metric(self, k):
+            alive.setdefault("metrics", living())
+            return rank_k_accuracy(self, k)
+
+        for name in ("load_embeddings", "build_gallery_templates", "score"):
+            watch(name)
+        watch("probe_matrix", pick=lambda result: result[1])
+        monkeypatch.setattr(cli, "IdentificationEval", evaluate)
+        monkeypatch.setattr(IdentificationEval, "rank_k_accuracy", first_metric)
+        emb_path, protocol_path = toy_protocol_files
+        assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == {"reduction": ["score"], "metrics": []}
+
     def test_unknown_config_key_rejected(self, toy_protocol_files, tmp_path, capsys):
         emb_path, protocol_path = toy_protocol_files
         config_path = tmp_path / "config.json"
@@ -806,6 +847,17 @@ class TestConvertEmb:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and len(err) < 200
         assert not (tmp_path / "e.bemb").exists()
+
+    def test_overflowing_component_exits_1_naming_its_record(self, tmp_path, capsys):
+        """One stderr line and no file: the float32 cast raises no numpy warning."""
+        emb_path = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [1.0, 2.0]},
+                                                      {"media_id": "b", "vector": [1e300, 2.0]}])
+        code = main(["convert-emb", "--emb", str(emb_path), "--format", "binary",
+                     "--out", str(tmp_path / "e.bemb")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: record 1: vector for 'b' overflows the 32-bit float range\n")
+        assert sorted(os.listdir(tmp_path)) == ["e.jsonl"]
 
     def test_binary_write_is_stable(self, tmp_path, toy_protocol_files):
         emb_path, _ = toy_protocol_files

@@ -394,7 +394,7 @@ class TestColumnarMatching:
             records = _interleaved(store.records, keys)
             shuffled = type(store).from_records(records, media_tags=_TAGS)
             assert shuffled.records == tuple(records) and list(shuffled) == records
-            assert type(store).from_records(shuffled.records) == shuffled
+            assert type(store).from_records(shuffled.records, shuffled.media_tags) == shuffled
             return shuffled
 
         assert evaluate_detections(reinterleaved(dets), reinterleaved(gts), thresholds) == report

@@ -403,6 +403,24 @@ class TestScore:
         scaled = score(probes * scales, gallery, probe_ids=ids)
         assert np.max(np.abs(base.scores - scaled.scores)) < 1e-9
 
+    @pytest.mark.parametrize("probes, gallery, message", [
+        (np.ones((2, 2)), aggregate_gallery({"g": [[1.0, 0.0]]}),
+         r"^expected \(1, d\) probe array, got shape \(2, 2\)$"),
+        (np.ones((1, 2)), identify.Gallery((), np.empty((0, 2)), np.empty(0, dtype=np.intp)),
+         "^gallery is empty$"),
+    ], ids=["two-rows-for-one-id", "empty-gallery"])
+    def test_input_faults(self, probes, gallery, message):
+        with pytest.raises(ValidationError, match=message):
+            score(probes, gallery, probe_ids=["p0"])
+
+    @pytest.mark.parametrize("subjects, scores, message", [
+        (("a",), np.array([[np.nan]]), "^scores must be finite$"),
+        (("a", "b"), np.array([[0.5]]), r"^score shape \(1, 1\) does not match 1 probes x 2 subjects$"),
+    ], ids=["nan", "shape"])
+    def test_score_matrix_faults(self, subjects, scores, message):
+        with pytest.raises(ValidationError, match=message):
+            ScoreMatrix(("p0",), subjects, scores)
+
     def test_dimension_mismatch(self):
         gallery = aggregate_gallery({"g": [[1.0, 0.0, 0.0]]})
         with pytest.raises(ValueError, match="dim"):
@@ -890,6 +908,32 @@ class TestIdentificationEval:
         mask[evaluation.mate_rows, [matrix.subject_ids.index(p.true_subject_id)
                                     for p in manifest.probes if manifest.is_mate(p)]] = False
         assert evaluation.impostor.tobytes() == np.sort(matrix.scores[mask]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda g: st.tuples(
+        st.lists(st.one_of(st.none(), st.sampled_from([0, g - 1]), st.integers(0, g - 1)),
+                 min_size=1, max_size=10),
+        st.lists(st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.0]), min_size=g * 10, max_size=g * 10),
+    ).map(lambda case: (g, *case))))
+    @example((3, [None, None], [0.0, -0.0, 0.5] * 10))
+    @example((3, [0, 2, 1], [-0.0, 0.0, -0.0] * 10))
+    @example((1, [0, 0], [0.0, -0.0] * 5))
+    def test_impostors_equal_the_masked_cells_bit_for_bit(self, case):
+        """The impostor array is scores.reshape(-1)[mask], sorted in place, for any
+        layout of mates: none, every row, the first or last column; signs of zero included."""
+        g, mates, values = case
+        subjects = [f"g{j}" for j in range(g)]
+        scores = np.array(values[: len(mates) * g]).reshape(len(mates), g)
+        manifest = manifest_for(subjects, [None if m is None else subjects[m] for m in mates])
+        matrix = ScoreMatrix(tuple(f"p{i}" for i in range(len(mates))), tuple(subjects), scores)
+        mask = np.ones(scores.shape, dtype=bool)
+        rows = [i for i, m in enumerate(mates) if m is not None]
+        mask[rows, [mates[i] for i in rows]] = False
+        expected = scores.reshape(-1)[mask.reshape(-1)]
+        expected.sort()
+        impostor = IdentificationEval(matrix, manifest).impostor
+        assert impostor.dtype == np.float64
+        assert np.array_equal(impostor.view(np.int64), expected.view(np.int64))
 
     def test_arrays_are_derived_once(self):
         matrix = ScoreMatrix(

@@ -2,6 +2,7 @@ import json
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -276,10 +277,10 @@ class TestHostileDetectionFields:
             assert str(info.value) == str(exc)
             return
         store = load_detections(path, box_format=box_format)
-        assert store == DetectionStore.from_records(records)
         tags = {}
         for rec, row in zip(records, rows):
             tags.setdefault(rec.media_id, row.get("dataset_tag"))
+        assert store == DetectionStore.from_records(records, tags)
         assert store.media_tags == tags
 
 
@@ -486,6 +487,15 @@ class TestAnnotationStore:
         for array in (copy.boxes, copy.labels):
             assert not array.flags.writeable
 
+    def test_stores_that_differ_only_in_a_tag_are_not_equal(self):
+        """evaluate_detections groups by the tags, so equality compares them too."""
+        def store(tag):
+            return DetectionStore(["m"], [0], np.ones((4, 1)), [0.5], media_tags={"m": tag})
+
+        assert store("a") != store("b") and store("a") != store(None)
+        assert store("a") == store("a") and store(None) == DetectionStore(["m"], [0], np.ones((4, 1)), [0.5])
+        assert DetectionStore.from_records(store("a").records, store("a").media_tags) == store("a")
+
     def test_duplicate_ground_truth_message(self, tmp_path):
         rows = [{"media_id": "m", "frame": 2, "x": 0, "y": 0, "w": 1, "h": 1, "subject_id": "s"}] * 2
         with pytest.raises(ValidationError, match="^duplicate ground truth for media 'm' frame 2 subject 's'$"):
@@ -532,14 +542,40 @@ class TestEmbeddingFormats:
          "line 1: embedding for 'a' has non-finite components"),
         ([_A, '{"media_id": "b", "vector": [1.0]}', '{"media_id": 3, "vector": [1.0, 2.0]}'],
          "line 2: embedding dimension 1 differs from line 1's 2"),
+        (['{"media_id": "a", "vector": "x"}'], "line 1: key 'vector' must be an array of numbers"),
     ], ids=["ragged", "ragged-after-blank-lines", "nan-after-blank", "overflow", "empty",
-            "first-line-nan-beats-ragged", "ragged-beats-later-type-fault"])
+            "first-line-nan-beats-ragged", "ragged-beats-later-type-fault", "vector-not-an-array"])
     def test_text_fault_names_the_first_faulty_line(self, tmp_path, lines, expected):
         path = tmp_path / "e.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(BiomevalError) as info:
             load_embeddings(path, format="text")
         assert str(info.value) == expected
+
+    def test_blank_text_file_is_an_empty_store(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n  \n\n", encoding="utf-8")
+        store = load_embeddings(path, format="text")
+        assert len(store) == 0 and store.matrix.shape == (0, 0)
+
+    def test_unknown_format_names_the_choices(self, tmp_path):
+        path = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [1.0]}])
+        message = "^format must be one of \\('text', 'binary'\\), got 'csv'$"
+        with pytest.raises(ValidationError, match=message):
+            load_embeddings(path, format="csv")
+        with pytest.raises(ValidationError, match=message):
+            write_embeddings(load_embeddings(path), tmp_path / "e.csv", format="csv")
+
+    def test_binary_write_names_the_first_overflowing_record(self, tmp_path):
+        """A component beyond float32 fails by its record, with no numpy warning."""
+        path = tmp_path / "e.bemb"
+        store = EmbeddingStore(["a", "b", "c"], np.array([[1.0, 2.0], [1e300, 2.0], [2.0, -1e39]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError,
+                               match="^record 1: vector for 'b' overflows the 32-bit float range$"):
+                write_embeddings(store, path, format="binary")
+        assert not path.exists()
 
     def test_format_is_sniffed_when_not_given(self, tmp_path):
         text = write_jsonl(tmp_path / "e.jsonl", [{"media_id": "a", "vector": [0.5, -1.0]}])
@@ -566,6 +602,19 @@ class TestEmbeddingFormats:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
             load_embeddings(path, format="binary")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"BEMB\x01\x00", "truncated file while reading header"),
+        (b"BEMB" + struct.pack("<IIQ", 1, 0, 2), "header declares zero dimension for a non-empty store"),
+        (b"BEMB" + struct.pack("<IIQ", 1, 2, 1) + b"\x00\x00",
+         "truncated file while reading record 0 id length"),
+    ], ids=["short-header", "zero-dim", "short-id-length"])
+    def test_binary_structure_faults(self, tmp_path, raw, message):
+        path = tmp_path / "bad.bemb"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as info:
+            load_embeddings(path, format="binary")
+        assert str(info.value) == message
 
     def test_binary_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.bemb"
@@ -909,6 +958,24 @@ class TestProtocolAndMedia:
         index = load_media_index(write_jsonl(tmp_path / "m.jsonl", rows))
         assert len(index) == 2
         assert index.get("m1").frame_count == 900
+
+    @pytest.mark.parametrize("load, good", [
+        (load_detections, _det_row()),
+        (load_ground_truth, _gt_row()),
+        (load_media_index, {"media_id": "m1", "subject_id": "s1", "dataset_tag": "alpha",
+                            "modality": "image", "frame_count": 1}),
+    ], ids=["detections", "ground-truth", "media-index"])
+    def test_line_that_is_not_an_object(self, tmp_path, load, good):
+        path = _write_lines(tmp_path / "a.jsonl", [good, "[1]"])
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == "line 2: expected a JSON object"
+
+    def test_unknown_box_format_names_the_choices(self, tmp_path):
+        path = write_jsonl(tmp_path / "d.jsonl", [_det_row()])
+        with pytest.raises(ValidationError,
+                           match="^box_format must be one of \\('xywh', 'xyxy'\\), got 'xywhz'$"):
+            load_detections(path, box_format="xywhz")
 
     def test_media_index_invalid_line(self, tmp_path):
         rows = [{"media_id": "m1", "subject_id": "s1", "dataset_tag": "alpha",
