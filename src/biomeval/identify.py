@@ -28,8 +28,11 @@ AGGREGATION_METHODS = ("mean", "max_score")
 SCORE_METRICS = ("cosine", "neg_euclidean")
 
 _SCORE_CHUNK = 1024
-# Rows made unit per block (gallery and probes), so the norms' x*x temporary stays small.
-_NORM_BLOCK = 1024
+# Texts of the row faults, by the codes _row_faults gives; a higher code is graver.
+_ROW_FAULTS = (None, "zero-norm vector cannot be normalized", "squared norm overflows float64",
+               "vectors must be finite")
+# Most thresholds a ROC sweep evaluates (evenly spaced impostor order statistics beyond it).
+_ROC_POINTS = 4096
 # Score cells compared per block when IdentificationEval counts mate ranks.
 _RANK_CELLS = 1 << 16
 # Bytes of one probe tile's range-max table, so that it stays in a core's L2 cache.
@@ -53,32 +56,41 @@ class Gallery:
         return len(self.subject_ids)
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    """Divide a finite float64 matrix's rows by their norms in place, _NORM_BLOCK rows
-    at a time; each row's norm is the same per-row reduction whichever block holds it,
-    so the rows equal mat / norm(mat, axis=1) bit for bit. Returns which rows had a
-    zero norm (they are left NaN)."""
-    zero = np.empty(len(mat), dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, len(mat), _NORM_BLOCK):
-            block = mat[lo : lo + _NORM_BLOCK]
-            norms = np.linalg.norm(block, axis=1)
-            block /= norms[:, None]
-            np.equal(norms, 0.0, out=zero[lo : lo + _NORM_BLOCK])
-    return zero
+def _squared_norms(mat: np.ndarray) -> np.ndarray:
+    """Each row's x.x (inf where it overflows), _SCORE_CHUNK rows at a time: the rows are
+    never copied whole, and each row's sum is the same whichever block holds it. The one
+    norm kernel: its square root equals np.linalg.norm(mat, axis=1) bit for bit."""
+    parts = np.split(mat, np.arange(_SCORE_CHUNK, len(mat), _SCORE_CHUNK))
+    with np.errstate(over="ignore"):
+        return np.concatenate([(part * part).sum(axis=1) for part in parts])
+
+
+def _row_faults(mat: np.ndarray, sq: np.ndarray, unit: bool = True) -> np.ndarray:
+    """The one rule for which vector rows cannot be scored, decided from their squared
+    norms sq (see _squared_norms) before any row is divided: code 3 for a row with a
+    non-finite component, 2 for a squared norm beyond float64, 1 for a zero norm where
+    the row is to be made unit, else 0 (see _ROW_FAULTS). Only rows whose sq is not
+    finite are read again."""
+    codes = ((sq == 0.0) & unit).astype(np.int8)
+    (wild,) = np.nonzero(~np.isfinite(sq))
+    codes[wild] = np.where(np.isfinite(mat[wild]).all(axis=1), 2, 3)
+    return codes
 
 
 def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, method: str) -> Gallery:
-    """The gallery of subjects whose finite media rows lie consecutively in a new float64
-    matrix, made unit rows in place by _unit_rows. Subject k owns the next counts[k] >= 1
-    rows. The first faulty subject in gallery order is named: one with a zero-norm
-    medium or, under "mean", a vanishing mean."""
+    """The gallery of subjects whose media rows lie consecutively in a new float64 matrix,
+    made unit rows in place. Subject k owns the next counts[k] >= 1 rows. The first
+    faulty subject in gallery order is named: one with a faulty medium (by _row_faults,
+    its gravest fault) or, under "mean", a vanishing mean."""
     if method not in AGGREGATION_METHODS:
         raise ValidationError(f"method must be one of {AGGREGATION_METHODS}, got {method!r}")
     counts = np.asarray(counts, dtype=np.intp)
     first = np.cumsum(counts) - counts
-    zero = np.logical_or.reduceat(_unit_rows(media), first)
-    faulty, rows, starts = zero, media, first
+    sq = _squared_norms(media)
+    codes = np.maximum.reduceat(_row_faults(media, sq), first)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        media /= np.sqrt(sq)[:, None]
+    faulty, rows, starts = codes > 0, media, first
     if method == "mean":
         # Subjects with k media are averaged together as one (n_k, k, d) block.
         means = np.empty((len(counts), media.shape[1]))
@@ -87,13 +99,12 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
             means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
         # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
         norms = np.array([np.linalg.norm(mean) for mean in means])
-        faulty = zero | ~(norms >= 1e-12)
+        faulty |= ~(norms >= 1e-12)
         with np.errstate(invalid="ignore", divide="ignore"):
             rows, starts = means / norms[:, None], np.arange(len(counts))
     if faulty.any():
         k = int(np.argmax(faulty))
-        fault = ("zero-norm vector cannot be normalized" if zero[k]
-                 else "degenerate template (zero mean vector)")
+        fault = _ROW_FAULTS[codes[k]] or "degenerate template (zero mean vector)"
         raise ValidationError(f"subject {subject_ids[k]!r}: {fault}")
     rows.setflags(write=False)
     starts.setflags(write=False)
@@ -114,14 +125,10 @@ def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gall
         block = block.reshape(1, -1) if block.ndim == 1 else block
         dim = blocks[0].shape[1] if blocks else "d"
         if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != dim):
-            fault = f"expected a non-empty (m, {dim}) array, got {block.shape}"
-        elif not np.isfinite(block).all():
-            fault = "vectors must be finite"
-        else:
-            blocks.append(block)
-            continue
-        aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
-        raise ValidationError(f"subject {subject_id!r}: {fault}")
+            aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
+            raise ValidationError(
+                f"subject {subject_id!r}: expected a non-empty (m, {dim}) array, got {block.shape}")
+        blocks.append(block)
     rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
     return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
 
@@ -217,14 +224,6 @@ def _subject_maxima(starts: np.ndarray, n_rows: int):
     return reduce
 
 
-def _squared_norms(mat: np.ndarray) -> np.ndarray:
-    """Each row's x.x (inf where it overflows), _SCORE_CHUNK rows at a time: the rows are
-    never copied whole, and each row's sum is the same whichever block holds it."""
-    parts = np.split(mat, np.arange(_SCORE_CHUNK, len(mat), _SCORE_CHUNK))
-    with np.errstate(over="ignore"):
-        return np.concatenate([(part * part).sum(axis=1) for part in parts])
-
-
 def score(
     probes: np.ndarray,
     gallery: Gallery,
@@ -234,9 +233,12 @@ def score(
 ) -> ScoreMatrix:
     """Similarity of every probe to every gallery subject.
 
-    `probes` is a (P, d) array whose row i is the probe probe_ids[i].
-    Cosine scores normalize each probe and land in [-1, 1]; neg_euclidean
-    scores are negated distances to the gallery rows.
+    `probes` is a (P, d) array whose row i is the probe probe_ids[i]; it is
+    never written, nor copied whole when it is float64. The first probe that cannot be scored is
+    named before any arithmetic (see _row_faults): one with a non-finite
+    component, a squared norm beyond float64 or, under cosine, a zero norm.
+    Cosine scores divide each chunk of probes by their norms and land in
+    [-1, 1]; neg_euclidean scores are negated distances to the gallery rows.
 
     Each probe chunk is multiplied by all of gallery.rows in one product
     of at most _SCORE_CHUNK x len(gallery) cells, so a mean gallery (one
@@ -259,22 +261,14 @@ def score(
         raise ValidationError(f"gallery rows have dim {rows.shape[1]}, probes have {x.shape[1]}")
     if 0 in x.shape:
         raise ValidationError(f"probes: expected a non-empty (m, d) array, got {x.shape}")
-    # The first probe that is not finite, or whose squared norm overflows, is named.
-    finite = np.isfinite(x).all(axis=1)
-    fits = finite
+    # The first faulty probe is named, before any row is divided.
+    probe_sq = _squared_norms(x)
+    codes = _row_faults(x, probe_sq, unit=metric == "cosine")
+    if codes.any():
+        i = int(np.argmax(codes > 0))
+        raise ValidationError(f"probe {ids[i]!r}: {_ROW_FAULTS[codes[i]]}")
     if metric == "neg_euclidean":
-        probe_sq, row_sq = _squared_norms(x), _squared_norms(rows)
-        fits = np.isfinite(probe_sq)
-    if not fits.all():
-        i = int(np.argmin(fits))
-        fault = "squared norm overflows float64" if finite[i] else "vectors must be finite"
-        raise ValidationError(f"probe {ids[i]!r}: {fault}")
-    if metric == "cosine":
-        x = np.array(x)  # a copy: the caller's probes are never written
-        zero = _unit_rows(x)
-        if zero.any():
-            probe_id = ids[int(np.argmax(zero))]
-            raise ValidationError(f"probe {probe_id!r}: zero-norm vector cannot be normalized")
+        row_sq = _squared_norms(rows)
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
     scores = np.empty((x.shape[0], len(gallery)), dtype=np.float64)
     # One row per subject: the product is the score block. Otherwise every
@@ -284,6 +278,8 @@ def score(
         product = np.empty((min(step, x.shape[0]), rows.shape[0]))
     for lo in range(0, x.shape[0], step):
         chunk = x[lo : lo + step]
+        if metric == "cosine":  # unit rows, one chunk at a time
+            chunk = chunk / np.sqrt(probe_sq[lo : lo + step, None])
         out = scores[lo : lo + step]
         block = np.matmul(chunk, rows.T, out=out if reduce is None else product[: len(chunk)])
         if metric == "neg_euclidean":
@@ -524,22 +520,20 @@ class IdentificationEval:
         return [OperatingPoint(f, threshold, tar, far)
                 for f, threshold, tar, far in zip(targets, thresholds, tars, fars)]
 
-    def roc_curve(self, max_points: int = 4096) -> Curve:
+    def roc_curve(self) -> Curve:
         """TAR-vs-FAR sweep over impostor-score thresholds.
 
         Thresholds are distinct impostor scores; when there are more than
-        max_points of them, evenly spaced order statistics are used instead,
-        so every emitted point is still an exact operating point.
+        _ROC_POINTS (4096) of them, evenly spaced order statistics are used
+        instead, so every emitted point is still an exact operating point.
         """
         self._require_genuine_and_impostor()
-        if max_points < 2:
-            raise ValidationError(f"max_points must be at least 2, got {max_points}")
         imp_sorted = self.impostor
         gen_sorted = np.sort(self.genuine)
         # The thresholds are sorted again, as numpy.unique sorted them, which
         # decides whether 0.0 or -0.0 stands for a run of zeros of both signs.
-        if imp_sorted.size > max_points:
-            positions = _distinct(np.linspace(0, imp_sorted.size - 1, max_points).round().astype(int))
+        if imp_sorted.size > _ROC_POINTS:
+            positions = _distinct(np.linspace(0, imp_sorted.size - 1, _ROC_POINTS).round().astype(int))
             taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted[positions]))))
         else:
             taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted))))
@@ -601,9 +595,9 @@ def tar_at_far(
     return IdentificationEval(matrix, manifest).tar_at_far(far_targets)
 
 
-def roc_curve(matrix: ScoreMatrix, manifest: ProtocolManifest, max_points: int = 4096) -> Curve:
+def roc_curve(matrix: ScoreMatrix, manifest: ProtocolManifest) -> Curve:
     """IdentificationEval.roc_curve."""
-    return IdentificationEval(matrix, manifest).roc_curve(max_points)
+    return IdentificationEval(matrix, manifest).roc_curve()
 
 
 def fnir_fpir(

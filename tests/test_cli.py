@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -296,6 +297,79 @@ def test_eval_id_golden_outputs(name, flags, tmp_path):
                  "--protocol", str(ID_GOLDEN / "protocol.json"), "--out", str(out), *flags]) == 0
     for filename in ("identification_report.json", "cmc.csv", "roc.csv", "openset.csv"):
         assert (out / filename).read_bytes() == (ID_GOLDEN / name / filename).read_bytes(), filename
+
+
+def _reordered(doc: dict, how: str, seed: int) -> dict:
+    """The protocol with its gallery entries or its probes shuffled, or each subject's
+    media list reversed."""
+    doc = json.loads(json.dumps(doc))
+    if how == "media":
+        for entry in doc["gallery"]:
+            entry["media_ids"].reverse()
+    else:
+        random.Random(seed).shuffle(doc[how])
+    return doc
+
+
+@pytest.mark.parametrize("flags", [
+    ["--aggregate", "mean"],
+    ["--aggregate", "max_score"],
+    ["--aggregate", "max_score", "--metric", "neg_euclidean"],
+], ids=" ".join)
+def test_eval_id_outputs_do_not_depend_on_protocol_order(flags, tmp_path, capsys):
+    protocol = json.loads((ID_GOLDEN / "protocol.json").read_text(encoding="utf-8"))
+    paths = {"golden": ID_GOLDEN / "protocol.json"}
+    for seed, how in enumerate(("gallery", "probes", "media")):
+        doc = _reordered(protocol, how, seed)
+        assert doc != protocol
+        paths[how] = tmp_path / f"{how}.json"
+        paths[how].write_text(json.dumps(doc), encoding="utf-8")
+    runs = {}
+    for name, path in paths.items():
+        out = tmp_path / name
+        assert main(["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"),
+                     "--protocol", str(path), "--out", str(out), *flags]) == 0
+        manifest = read_json(out / "run_manifest.json")
+        del manifest["input_digests"]["protocol"]
+        runs[name] = ({f.name: f.read_bytes() for f in out.iterdir() if f.name != "run_manifest.json"},
+                      manifest, capsys.readouterr().out)
+    for name in ("gallery", "probes", "media"):
+        assert runs[name] == runs["golden"], name
+
+
+# Valid text embeddings for OVERFLOW_PROTOCOL; a test makes one of them overflow when squared.
+OVERFLOW_VECTORS = {"g1": [1.0, 0.0], "g2": [0.0, 1.0], "q1": [1.0, 0.0],
+                    "q2": [0.0, 1.0], "q3": [1.0, 1.0]}
+OVERFLOW_PROTOCOL = {
+    "gallery": [{"subject_id": "a", "media_ids": ["g1"]}, {"subject_id": "b", "media_ids": ["g2"]}],
+    "probes": [{"probe_id": "p1", "media_id": "q1", "true_subject_id": "a"},
+               {"probe_id": "p2", "media_id": "q2", "true_subject_id": "b"},
+               {"probe_id": "p3", "media_id": "q3", "true_subject_id": None}],
+}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--aggregate", "mean"],
+    ["--aggregate", "max_score"],
+    ["--aggregate", "max_score", "--metric", "neg_euclidean"],
+], ids=" ".join)
+@pytest.mark.parametrize("overflowing, expected", [
+    ("q1", "probe 'p1': squared norm overflows float64"),
+    ("g1", "subject 'a': squared norm overflows float64"),
+], ids=["probe", "gallery"])
+def test_eval_id_names_a_vector_whose_squared_norm_overflows(overflowing, expected, flags,
+                                                             tmp_path, capsys):
+    vectors = {**OVERFLOW_VECTORS, overflowing: [1e200, 1e199]}
+    emb_path = write_jsonl(tmp_path / "emb.jsonl",
+                           [{"media_id": m, "vector": v} for m, v in vectors.items()])
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(OVERFLOW_PROTOCOL), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
 
 
 class TestEvalId:
@@ -687,6 +761,18 @@ def test_bad_config_value_exits_1_before_reading_inputs(command, config, tmp_pat
     (key,) = config
     assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_an_object_exits_1(toy_protocol_files, tmp_path, capsys):
+    emb_path, protocol_path = toy_protocol_files
+    config_path = tmp_path / "c.json"
+    config_path.write_text("[1]", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                 "--config", str(config_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
     assert not out.exists()
 
 

@@ -141,6 +141,11 @@ class TestPrf1:
     def test_empty_frame_convention(self):
         assert prf1(MatchCounts(0, 0, 0)) == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValidationError, match=r"^counts must be non-negative, "
+                                                  r"got MatchCounts\(tp=-1, fp=0, fn=0\)$"):
+            MatchCounts(-1, 0, 0)
+
     def test_zero_denominators_without_empty_frame(self):
         assert prf1(MatchCounts(0, 5, 0)) == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
         assert prf1(MatchCounts(0, 0, 5)) == {"precision": 0.0, "recall": 0.0, "f1": 0.0}

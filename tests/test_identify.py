@@ -98,6 +98,8 @@ class TestAggregateGallery:
         ("neg_euclidean", [-np.inf, 0.0], "vectors must be finite"),
         ("neg_euclidean", [1e200, 0.0], "squared norm overflows float64"),
         ("cosine", [0.0, np.nan], "vectors must be finite"),
+        ("cosine", [1e200, 1e199], "squared norm overflows float64"),
+        ("cosine", [1e154, 1e154], "squared norm overflows float64"),
     ])
     def test_faulty_probe_is_named_before_any_warning(self, metric, probe, message):
         gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
@@ -106,6 +108,32 @@ class TestAggregateGallery:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=rf"^probe 'p2': {message}$"):
                 score(probes, gallery, metric, probe_ids=["p1", "p2", "p3"])
+
+    @pytest.mark.parametrize("metric, message", [
+        ("cosine", "'p1': zero-norm vector cannot be normalized"),
+        ("neg_euclidean", "'p2': vectors must be finite"),
+    ])
+    def test_first_faulty_probe_is_named_whatever_its_fault(self, metric, message):
+        """A zero row is no fault under neg_euclidean; under cosine it is decided before
+        any row is divided, so it is not misnamed as the NaN its division would give."""
+        gallery = aggregate_gallery({"s": [[1.0, 0.0]]})
+        probes = np.array([[0.0, 0.0], [np.nan, 1.0], [1e200, 0.0]])
+        with pytest.raises(ValidationError, match=rf"^probe {message}$"):
+            score(probes, gallery, metric, probe_ids=["p1", "p2", "p3"])
+
+    def test_cosine_scoring_holds_no_whole_copy_of_the_probes(self):
+        """Probes are made unit a score chunk at a time: the peak, less the returned
+        matrix, stays below half the probes' bytes."""
+        rng = np.random.default_rng(4)
+        gallery = aggregate_gallery({f"s{j}": rng.normal(size=(1, 256)) for j in range(16)})
+        probes = rng.normal(size=(4096, 256))
+        tracemalloc.start()
+        try:
+            matrix = score(probes, gallery, probe_ids=[f"p{i}" for i in range(len(probes))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.scores.nbytes < probes.nbytes / 2, peak / probes.nbytes
 
     @pytest.mark.parametrize("metric", ["cosine", "neg_euclidean"])
     def test_empty_probe_array_is_rejected_under_either_metric(self, metric):
@@ -170,6 +198,7 @@ GALLERY_FAULTS = {
     "zero": ([[0.0, 0.0]], "zero-norm vector cannot be normalized"),
     "nan": ([[1.0, 0.0], [np.nan, 1.0]], "vectors must be finite"),
     "inf": ([[np.inf, 1.0]], "vectors must be finite"),
+    "overflow": ([[1e200, 0.0]], "squared norm overflows float64"),
     "empty": (np.empty((0, 2)), r"expected a non-empty \(m, 2\) array, got \(0, 2\)"),
     "dim": ([[1.0, 0.0, 0.0]], r"expected a non-empty \(m, 2\) array, got \(1, 3\)"),
     "antipodal": ([[1.0, 0.0], [-1.0, 0.0]], r"degenerate template \(zero mean vector\)"),
@@ -329,7 +358,7 @@ class TestBlocks:
             probes=(),
         )
         vectors = {f"g{j}": media[s : s + k] for j, (s, k) in enumerate(zip(first, counts))}
-        with mock.patch.object(identify, "_NORM_BLOCK", block), \
+        with mock.patch.object(identify, "_SCORE_CHUNK", block), \
                 mock.patch.object(stores, "_ROWS_BLOCK", block):
             for method in AGGREGATION_METHODS:
                 try:
@@ -366,7 +395,7 @@ class TestBlocks:
         media = {"ok": [[1.0, 0.0]], "fine": [[0.0, 2.0], [1.0, 1.0]], "bad": vectors,
                  "also": [[0.0, 0.0]]}
         methods = ["mean"] if fault == "antipodal" else AGGREGATION_METHODS
-        with mock.patch.object(identify, "_NORM_BLOCK", block):
+        with mock.patch.object(identify, "_SCORE_CHUNK", block):
             for method in methods:
                 with pytest.raises(ValidationError, match=rf"^subject 'bad': {message}$"):
                     aggregate_gallery(media, method)
@@ -783,6 +812,15 @@ class TestFnirFpir:
             assert xs[0] == 0.0
             assert ys[-1] == 0.0
 
+    @pytest.mark.parametrize("thresholds, message", [
+        ("all", "thresholds must be a list of values or 'sweep', got 'all'"),
+        ([], "at least one threshold is required"),
+    ])
+    def test_bad_thresholds_rejected(self, thresholds, message):
+        matrix, manifest = self._fixture()
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            fnir_fpir(matrix, manifest, thresholds=thresholds)
+
     def test_requires_both_probe_kinds(self):
         matrix = ScoreMatrix(("p0",), ("a",), np.array([[0.5]]))
         with pytest.raises(ProtocolError, match="non-mate"):
@@ -795,6 +833,14 @@ class TestCurve:
     def test_x_strictly_increasing_enforced(self):
         with pytest.raises(ValidationError):
             Curve(points=((0.0, 0.0), (0.0, 1.0)), x_label="x", y_label="y")
+
+    def test_one_threshold_per_point_required(self):
+        with pytest.raises(ValidationError, match="^one threshold per point is required$"):
+            Curve(((1.0, 0.5), (2.0, 0.6)), "x", "y", thresholds=(0.1,))
+
+    def test_csv_needs_one_column_name_per_field(self):
+        with pytest.raises(ValidationError, match="^expected 2 column names, got 3$"):
+            Curve(((1.0, 0.5),), "x", "y").to_csv(("a", "b", "c"))
 
     def test_csv_two_line_header(self):
         curve = Curve(points=((1.0, 0.5), (2.0, 1.0)), x_label="rank",

@@ -77,6 +77,10 @@ class TestProtocolManifest:
                 probes=(),
             )
 
+    def test_gallery_entry_without_media_rejected(self):
+        with pytest.raises(ValidationError, match=r"^gallery subject 's' lists no media$"):
+            GalleryEntry("s", ())
+
     def test_duplicate_subjects_and_probes_listed_boundedly(self):
         gallery = tuple(GalleryEntry(f"g{i % 30}", ("m",)) for i in range(60))
         with pytest.raises(ValidationError,
@@ -252,6 +256,15 @@ class TestStores:
         assert index.media_by_subject() == {"s1": ("m1", "m2"), "s2": ("m3",)}
         assert index.media_by_tag() == {"alpha": ("m1", "m3"), "beta": ("m2",)}
         assert index.media_tags()["m2"] == "beta"
+        assert "m3" in index and "m4" not in index
+        assert index == MediaIndex(index.records) and index != MediaIndex(index.records[:2])
+        assert [rec.media_id for rec in index.records] == ["m1", "m2", "m3"]
+
+    def test_embedding_store_widens_integers_and_names_an_unknown_medium(self):
+        store = EmbeddingStore(["a"], np.array([[1, 2]]))
+        assert store.matrix.dtype == np.float64
+        with pytest.raises(KeyError, match="'nope'"):
+            store.rows(["nope"])
 
 
 class TestValidateProtocol:
