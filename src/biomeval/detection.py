@@ -259,7 +259,8 @@ def _merge_media_tags(*sources: Mapping[str, str | None]) -> dict[str, str | Non
                 tags[media_id] = tag
             elif tag is not None and tag != known:
                 raise ValidationError(
-                    f"media {media_id!r} carries conflicting dataset tags {known!r} and {tag!r}"
+                    f"media {brief(media_id)} carries conflicting dataset tags {brief(known)} "
+                    f"and {brief(tag)}"
                 )
     return tags
 
@@ -282,7 +283,7 @@ def evaluate_detections(
     media = sorted(set(dets.media_ids).union(gts.media_ids))
     for media_id in media:
         if tags.get(media_id) is None:
-            raise ValidationError(f"media {media_id!r} has no dataset_tag in the media index")
+            raise ValidationError(f"media {brief(media_id)} has no dataset_tag in the media index")
     groups = sorted({tags[media_id] for media_id in media})
     group_of = {tag: i for i, tag in enumerate(groups)}
     media_group = np.array([group_of[tags[media_id]] for media_id in media], dtype=np.int64)

@@ -22,16 +22,20 @@ def no_repeats(name: str, values: Sequence) -> Sequence:
 
 
 def preview(items: Sequence[str]) -> str:
-    """The first MESSAGE_LIST_LIMIT items as a list, plus the total count when some are cut."""
-    shown = list(items[:MESSAGE_LIST_LIMIT])
+    """The first MESSAGE_LIST_LIMIT items as a list, each cut by brief, plus the total
+    count when some are cut."""
+    shown = f"[{', '.join(map(brief, items[:MESSAGE_LIST_LIMIT]))}]"
     if len(items) <= MESSAGE_LIST_LIMIT:
-        return str(shown)
+        return shown
     return f"{shown} (first {MESSAGE_LIST_LIMIT} of {len(items)})"
 
 
 def brief(value, limit: int = 40) -> str:
     """repr(value), cut after `limit` characters (with the full length) when longer."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:  # a JSON value parsed just inside the nesting limit
+        return "a value nested too deep to show"
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 

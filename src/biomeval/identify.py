@@ -105,7 +105,7 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
     if faulty.any():
         k = int(np.argmax(faulty))
         fault = _ROW_FAULTS[codes[k]] or "degenerate template (zero mean vector)"
-        raise ValidationError(f"subject {subject_ids[k]!r}: {fault}")
+        raise ValidationError(f"subject {brief(subject_ids[k])}: {fault}")
     rows.setflags(write=False)
     starts.setflags(write=False)
     return Gallery(subject_ids, rows, starts)
@@ -127,7 +127,7 @@ def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gall
         if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != dim):
             aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
             raise ValidationError(
-                f"subject {subject_id!r}: expected a non-empty (m, {dim}) array, got {block.shape}")
+                f"subject {brief(subject_id)}: expected a non-empty (m, {dim}) array, got {block.shape}")
         blocks.append(block)
     rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
     return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
@@ -266,7 +266,7 @@ def score(
     codes = _row_faults(x, probe_sq, unit=metric == "cosine")
     if codes.any():
         i = int(np.argmax(codes > 0))
-        raise ValidationError(f"probe {ids[i]!r}: {_ROW_FAULTS[codes[i]]}")
+        raise ValidationError(f"probe {brief(ids[i])}: {_ROW_FAULTS[codes[i]]}")
     if metric == "neg_euclidean":
         row_sq = _squared_norms(rows)
     step = max(1, _SCORE_CHUNK * len(gallery) // rows.shape[0])
@@ -439,10 +439,11 @@ class IdentificationEval:
         for i, probe_id in enumerate(matrix.probe_ids):
             probe = probes.get(probe_id)
             if probe is None:
-                raise ProtocolError(f"probe {probe_id!r} is not in the protocol")
+                raise ProtocolError(f"probe {brief(probe_id)} is not in the protocol")
             if manifest.is_mate(probe):
                 if probe.true_subject_id not in columns:
-                    raise ProtocolError(f"mate subject {probe.true_subject_id!r} has no gallery column")
+                    raise ProtocolError(
+                        f"mate subject {brief(probe.true_subject_id)} has no gallery column")
                 mate_columns[i] = columns[probe.true_subject_id]
         scores = matrix.scores
         self.mate_rows = np.flatnonzero(mate_columns >= 0)

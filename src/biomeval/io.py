@@ -44,15 +44,18 @@ _ID_LENGTH = struct.Struct("<I")
 BOX_FORMATS = ("xywh", "xyxy")
 # Text JSON lines, or binary BEMB records.
 EMBEDDING_FORMATS = ("text", "binary")
-# Lines of a detections or ground-truth file that are turned into columns at once.
-_BLOCK_LINES = 4096
+# Raw lines (blank ones included) of a detections or ground-truth file checked at once.
+_BLOCK_LINES = 2048
 
 
 _scan_json = json.JSONDecoder().scan_once
 
 
 def _jsonl_object(line: str, lineno: int) -> dict | None:
-    """One line's JSON object, or None for a blank line."""
+    """One raw line's JSON object, or None for a blank line. A byte that is not UTF-8
+    (read as a lone surrogate, by errors="surrogateescape") fails its line here."""
+    if not line.isascii():
+        _decode_utf8(line.encode("utf-8", "surrogateescape"), lineno)
     line = line.strip()
     if not line:
         return None
@@ -60,12 +63,12 @@ def _jsonl_object(line: str, lineno: int) -> dict | None:
     # json.loads re-reads a line the scanner rejects, for its message.
     try:
         obj, end = _scan_json(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line):
         try:
             obj = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line=lineno) from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line=lineno)
@@ -85,17 +88,10 @@ def _decode_utf8(data: bytes, lineno: int = 1) -> str:
 
 
 def _iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) for every non-blank line; line numbers are 1-based.
-
-    A byte that is not UTF-8 reads as a lone surrogate and fails its line when
-    the line is reached, after every fault on an earlier line.
-    """
+    """Yield (line_number, object) for every non-blank line; line numbers are 1-based."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                _decode_utf8(line.encode("utf-8", "surrogateescape"), lineno)
-            obj = _jsonl_object(line, lineno)
-            if obj is not None:
+            if (obj := _jsonl_object(line, lineno)) is not None:
                 yield lineno, obj
 
 
@@ -109,6 +105,8 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(json_error(exc)) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or deep nesting
+        raise ParseError(f"invalid JSON ({exc})") from None
 
 
 # Field kinds, by the rule every loader applies: a check of the JSON value that
@@ -195,8 +193,8 @@ def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str
 def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
     """One block's media ids, frames, (4, n) x/y/w/h array, labels and media tags (each
     medium's tag on its first line in the block) if every field is a plain string, int
-    or float of its key's kind, else None. Integral float frames read as ints; the store
-    applies the record rule to the rows. Media ids and tags go through `strings`, so
+    or float of its key's kind, else None. Integral float frames read as ints; the loader
+    applies the store's record rule to the rows. Media ids and tags go through `strings`, so
     each distinct string is held once."""
     media, frames, *box, labels, tags = (
         [obj.get(key) for obj in objs]
@@ -228,47 +226,39 @@ def _block_columns(store_type: type, box_format: str, objs: list[dict], strings:
 
 
 def _load_annotations(path: str | Path, box_format: str, store_type: type):
-    """Detections or ground truth, read _BLOCK_LINES lines at a time into columns whose
-    fields are type-checked block by block, so the Python objects held are one block's;
-    the store then checks the rows.
-
-    If a block or the store fails, the file is read again from line 1 as records
-    (_annotation_record), which raises the error of its first faulty line. A store
-    fault with no faulty line (a repeated ground-truth box) raises as the store raised it.
+    """Detections or ground truth, read in one pass of _BLOCK_LINES raw lines at a time:
+    a block's fields are type-checked as columns and its rows checked by the store's
+    record rule before the next block is read. A block that fails is read again from
+    its raw lines as records (_annotation_record), which raises its first faulty line's
+    error, the file's first. A repeated ground-truth box raises as the store raises it.
     """
     if box_format not in BOX_FORMATS:
         raise ValidationError(f"box_format must be one of {BOX_FORMATS}, got {box_format!r}")
     media, frames, boxes, labels, media_tags, strings = [], [], [], [], {}, {}
-    lines = _iter_jsonl(path)
-    try:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        numbered = enumerate(fh, start=1)
         while True:
-            objs = [obj for _, obj in islice(lines, _BLOCK_LINES)]
-            block = _block_columns(store_type, box_format, objs, strings)
-            if block is None:
-                break
+            raw = list(islice(numbered, _BLOCK_LINES))
+            try:
+                objs = [obj for lineno, line in raw if (obj := _jsonl_object(line, lineno)) is not None]
+                block = _block_columns(store_type, box_format, objs, strings)
+            except ParseError:
+                block = None
+            if block is None or not store_type.rows_pass(*block[1:4]):
+                for lineno, line in raw:
+                    if (obj := _jsonl_object(line, lineno)) is not None:
+                        _annotation_record(store_type, obj, lineno, box_format)
+                raise AssertionError(f"{path}: the column check failed a block with no faulty line")
             media += block[0]
             frames += block[1]
             boxes.append(block[2])
             labels.append(block[3])
             for media_id, tag in block[4].items():  # a medium's first line wins
                 media_tags.setdefault(media_id, tag)
-            if len(objs) < _BLOCK_LINES:
+            if len(raw) < _BLOCK_LINES:
                 break
-    except ParseError:
-        block = None
-    lines.close()
-    fault = None
-    if block is not None:
-        try:
-            return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
-                              media_tags=media_tags)
-        except ValidationError as exc:
-            fault = exc
-    for lineno, obj in _iter_jsonl(path):
-        _annotation_record(store_type, obj, lineno, box_format)
-    if fault is None:  # the block check rejects only files with a faulty line
-        raise AssertionError(f"{path}: the column check failed a file with no faulty line")
-    raise fault
+    return store_type(media, frames, np.concatenate(boxes, axis=1), np.concatenate(labels),
+                      media_tags=media_tags)
 
 
 def load_detections(path: str | Path, box_format: str = "xywh") -> DetectionStore:
@@ -324,9 +314,9 @@ def _load_embeddings_text(path: str | Path) -> EmbeddingStore:
                         raise _mistyped(value, f"vector[{i}]", lineno, _number)
             media_id = _field(obj, "media_id", lineno, _string)
             if not vector:
-                raise ValidationError(f"line {lineno}: embedding for {media_id!r} is empty")
+                raise ValidationError(f"line {lineno}: embedding for {brief(media_id)} is empty")
             if not all(map(math.isfinite, vector)):
-                raise ValidationError(f"line {lineno}: embedding for {media_id!r} "
+                raise ValidationError(f"line {lineno}: embedding for {brief(media_id)} "
                                       "has non-finite components")
             first = first or (lineno, len(vector))
             if len(vector) != first[1]:
@@ -413,7 +403,8 @@ def write_embeddings(store: EmbeddingStore, path: str | Path, format: str = "tex
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise FormatError(f"record {i}: vector for {store.media_ids[i]!r} overflows the 32-bit float range")
+        raise FormatError(
+            f"record {i}: vector for {brief(store.media_ids[i])} overflows the 32-bit float range")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, store.dim, len(store)))
         for media_id, row in zip(store.media_ids, matrix):

@@ -86,10 +86,10 @@ class MediaRecord:
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
-            raise ValidationError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
+            raise ValidationError(f"modality must be one of {MODALITIES}, got {brief(self.modality)}")
         _check_integer("frame_count", self.frame_count, 1)
         if self.modality == "image" and self.frame_count != 1:
-            raise ValidationError(f"still image {self.media_id!r} must have frame_count 1")
+            raise ValidationError(f"still image {brief(self.media_id)} must have frame_count 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class GalleryEntry:
 
     def __post_init__(self):
         if len(self.media_ids) == 0:
-            raise ValidationError(f"gallery subject {self.subject_id!r} lists no media")
+            raise ValidationError(f"gallery subject {brief(self.subject_id)} lists no media")
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,14 @@ class ProtocolManifest:
                 subject = enrolled_by.setdefault(m, e.subject_id)
                 if subject != e.subject_id:
                     raise ValidationError(
-                        f"medium {m!r} is enrolled in gallery subjects {subject!r} "
-                        f"and {e.subject_id!r}"
+                        f"medium {brief(m)} is enrolled in gallery subjects {brief(subject)} "
+                        f"and {brief(e.subject_id)}"
                     )
         for p in self.probes:
             if p.media_id in enrolled_by:
                 raise ValidationError(
-                    f"probe {p.probe_id!r} uses medium {p.media_id!r}, which is enrolled "
-                    f"in gallery subject {enrolled_by[p.media_id]!r}"
+                    f"probe {brief(p.probe_id)} uses medium {brief(p.media_id)}, which is enrolled "
+                    f"in gallery subject {brief(enrolled_by[p.media_id])}"
                 )
 
     @property

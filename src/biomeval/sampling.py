@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, brief
 
 GENERATOR_NAME = "numpy-pcg64"
 DEFAULT_SUBJECTS_PER_BATCH = 4
@@ -98,7 +98,7 @@ def dataset_balanced_weights(items_by_dataset: Mapping[str, Sequence[str]]) -> D
         weight = 1.0 / (num_datasets * len(items))
         for media_id in items:
             if media_id in per_item:
-                raise ValidationError(f"media {media_id!r} appears in more than one dataset")
+                raise ValidationError(f"media {brief(media_id)} appears in more than one dataset")
             per_item[media_id] = weight
     return DatasetWeights(per_dataset=per_dataset, per_item=per_item)
 

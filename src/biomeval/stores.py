@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, duplicates, preview
+from .errors import ValidationError, brief, duplicates, preview
 from .records import (
     BoundingBox,
     DetectionRecord,
@@ -53,19 +53,23 @@ class AnnotationStore:
         if len(self.frames) != n or self.boxes.shape != (4, n) or self.labels.shape != (n,):
             raise ValidationError(f"columns disagree: {n} media ids, {len(self.frames)} frames, "
                                   f"boxes {self.boxes.shape}, labels {self.labels.shape}")
-        # The record rule in one pass: int frames >= 0, finite boxes with w, h > 0
-        # and scores in [0, 1]. A row it fails is built as a record for its message;
-        # rows that all pass as records may hold other integer types, kept as ints.
-        ok = np.isfinite(self.boxes).all(axis=0) & (self.boxes[2] > 0) & (self.boxes[3] > 0)
-        if self.label_dtype is not object:
-            ok &= (self.labels >= 0) & (self.labels <= 1)
-        frames_ok = set(map(type, self.frames)) <= {int} and min(self.frames, default=0) >= 0
-        if not (ok.all() and frames_ok):
+        # A row the record rule fails is built as a record for its message; rows
+        # that all pass as records may hold other integer types, kept as ints.
+        if not self.rows_pass(self.frames, self.boxes, self.labels):
             for _ in self._records():
                 pass
             self.frames = tuple(map(int, self.frames))
         self._media_tags = {**dict.fromkeys(self.media_ids), **(media_tags or {})}
         self._freeze()
+
+    @classmethod
+    def rows_pass(cls, frames: Sequence, boxes: np.ndarray, labels: np.ndarray) -> bool:
+        """Whether every row passes the record rule, in one vectorised pass: int frames
+        >= 0, finite (4, n) boxes with w, h > 0 and scores in [0, 1]."""
+        ok = np.isfinite(boxes).all(axis=0) & (boxes[2] > 0) & (boxes[3] > 0)
+        if cls.label_dtype is not object:
+            ok &= (labels >= 0) & (labels <= 1)
+        return bool(ok.all()) and set(map(type, frames)) <= {int} and min(frames, default=0) >= 0
 
     @classmethod
     def from_records(cls, records: Iterable, media_tags: Mapping[str, str | None] | None = None):
@@ -137,7 +141,8 @@ class GroundTruthStore(AnnotationStore):
         for key in zip(self.media_ids, self.frames, self.labels.tolist()):
             if key in seen:
                 raise ValidationError(
-                    f"duplicate ground truth for media {key[0]!r} frame {key[1]} subject {key[2]!r}"
+                    f"duplicate ground truth for media {brief(key[0])} frame {key[1]} "
+                    f"subject {brief(key[2])}"
                 )
             seen.add(key)
 
@@ -167,14 +172,14 @@ class EmbeddingStore:
                 f"{len(ids)} media ids for an embedding matrix of {matrix.shape[0]} rows"
             )
         if ids and matrix.shape[1] == 0:
-            raise ValidationError(f"record 0: embedding for {ids[0]!r} is empty")
+            raise ValidationError(f"record 0: embedding for {brief(ids[0])} is empty")
         # One boolean per row, checked _ROWS_BLOCK rows at a time.
         finite = np.empty(len(ids), dtype=bool)
         for lo in range(0, len(ids), _ROWS_BLOCK):
             np.isfinite(matrix[lo : lo + _ROWS_BLOCK]).all(axis=1, out=finite[lo : lo + _ROWS_BLOCK])
         if not finite.all():
             i = int(np.argmin(finite))
-            raise ValidationError(f"record {i}: embedding for {ids[i]!r} has non-finite components")
+            raise ValidationError(f"record {i}: embedding for {brief(ids[i])} has non-finite components")
         index = {m: i for i, m in enumerate(ids)}
         if len(index) != len(ids):
             raise ValidationError(f"duplicate embedding media ids: {preview(duplicates(ids))}")
@@ -214,7 +219,7 @@ class EmbeddingStore:
         try:
             return self._matrix[self._index[media_id]].astype(np.float64, copy=False)
         except KeyError:
-            raise KeyError(f"no embedding for media {media_id!r}") from None
+            raise KeyError(f"no embedding for media {brief(media_id)}") from None
 
     def rows(self, media_ids: Sequence[str]) -> np.ndarray:
         """A new float64 (len(media_ids), dim) matrix of the named media's vectors, in that order.
@@ -225,7 +230,7 @@ class EmbeddingStore:
         try:
             index = np.array([self._index[m] for m in media_ids], dtype=np.intp)
         except KeyError as exc:
-            raise KeyError(f"no embedding for media {exc.args[0]!r}") from None
+            raise KeyError(f"no embedding for media {brief(exc.args[0])}") from None
         out = np.empty((len(index), self.dim))
         for lo in range(0, len(index), _ROWS_BLOCK):
             out[lo : lo + _ROWS_BLOCK] = self._matrix[index[lo : lo + _ROWS_BLOCK]]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -221,6 +222,92 @@ def test_mistyped_line_field_exits_1_naming_the_line(two_group_files, tmp_path, 
                  "--media", str(paths["media"]), "--out", str(out)])
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def _append_line(path, line):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+_LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize("target, value", [
+    ("det", _DEEP), ("gt", _DEEP), ("emb", _DEEP), ("protocol", _DEEP), ("config", _DEEP),
+    ("protocol", _LONG_INT), ("config", _LONG_INT),
+], ids=["det-deep", "gt-deep", "emb-deep", "protocol-deep", "config-deep", "protocol-long-int",
+        "config-long-int"])
+def test_json_past_python_limits_exits_1_with_one_line(two_group_files, toy_protocol_files,
+                                                       tmp_path, capsys, target, value):
+    """A value nested past the recursion limit, or an integer literal past the
+    4,300-digit limit, is invalid JSON: one stderr line, no traceback, no output."""
+    det_path, gt_path = two_group_files
+    emb_path, protocol_path = toy_protocol_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{}", encoding="utf-8")
+    path = {"det": det_path, "gt": gt_path, "emb": emb_path, "protocol": protocol_path,
+            "config": config_path}[target]
+    bad = '{"media_id": %s}' % value
+    if path.suffix == ".jsonl":
+        where = f"line {_append_line(path, bad)}: "
+    else:
+        path.write_text(bad, encoding="utf-8")
+        where = f"config file {config_path}: " if target == "config" else ""
+    argv = (["eval-det", "--det", str(det_path), "--gt", str(gt_path)] if target in ("det", "gt")
+            else ["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
+                  "--config", str(config_path)])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}invalid JSON (") and err.count("\n") == 1
+    assert err.endswith("\n") and "Traceback" not in err
+
+
+_LONG_ID = "i" * 100_000
+# Each fault, and the start of its message.
+_LONG_ID_FAULTS = {
+    "untagged-medium": "media 'iii",
+    "repeated-ground-truth": "duplicate ground truth for media 'iii",
+    "repeated-subject": "duplicate gallery subject ids: ['iii",
+    "medium-in-two-subjects": "medium 'iii",
+    "missing-embedding": "protocol references media without embeddings: ['iii",
+    "non-finite-embedding": "line 7: embedding for 'iii",
+}
+
+
+@pytest.mark.parametrize("fault", _LONG_ID_FAULTS)
+def test_long_id_in_an_error_is_cut(two_group_files, toy_protocol_files, tmp_path, capsys, fault):
+    """A 100,000-character id is quoted cut after 40 characters, with its length."""
+    det_path, gt_path = two_group_files
+    emb_path, protocol_path = toy_protocol_files
+    box = {"frame": 0, "x": 0, "y": 0, "w": 1, "h": 1}
+    if fault == "untagged-medium":
+        _append_line(det_path, json.dumps({"media_id": _LONG_ID, **box, "score": 0.5}))
+    elif fault == "repeated-ground-truth":
+        for _ in range(2):
+            _append_line(gt_path, json.dumps({"media_id": _LONG_ID, **box, "subject_id": "s"}))
+    elif fault == "non-finite-embedding":
+        _append_line(emb_path, json.dumps({"media_id": _LONG_ID, "vector": [float("nan"), 0, 0]}))
+    else:
+        protocol = read_json(protocol_path)
+        gallery, probes = protocol["gallery"], protocol["probes"]
+        if fault == "repeated-subject":
+            gallery[1]["subject_id"] = gallery[0]["subject_id"] = _LONG_ID
+        elif fault == "medium-in-two-subjects":
+            gallery[1]["media_ids"] = gallery[0]["media_ids"] = [_LONG_ID]
+        else:
+            probes[0]["media_id"] = _LONG_ID
+        protocol_path.write_text(json.dumps(protocol), encoding="utf-8")
+    argv = (["eval-det", "--det", str(det_path), "--gt", str(gt_path)]
+            if fault in ("untagged-medium", "repeated-ground-truth")
+            else ["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path)])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_LONG_ID_FAULTS[fault]}") and "... (100002 characters)" in err
+    assert len(err.encode("utf-8")) < 1024
 
 
 GOLDEN = Path(__file__).parent / "data" / "det_golden"
@@ -1325,6 +1412,24 @@ def test_closed_stdout_ends_other_commands_the_same_way(command, unbuffered, tmp
     done = _module_run_with_closed_stdout(argv, unbuffered)
     assert done.returncode == 1
     assert done.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_broken_pipe_in_process_exits_1_after_every_output(tmp_path, capsys):
+    """main's broken-pipe branch, run in this process: stdout is a pipe whose read
+    end is closed, so the summary's flush fails after the outputs are in place."""
+    argv = _run_argv("eval-det", tmp_path)
+    assert main([*argv, "--out", str(tmp_path / "normal")]) == 0
+    capsys.readouterr()
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    out = tmp_path / "closed"
+    with open(write_fd, "w", encoding="utf-8") as pipe, contextlib.redirect_stdout(pipe):
+        code = main([*argv, "--out", str(out)])
+        print("more", flush=True)  # the pipe's descriptor now points at devnull
+    assert code == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    assert "run_manifest.json" in _files(out)
+    assert _files(out) == _files(tmp_path / "normal")
 
 
 class TestRunWriter:

@@ -152,6 +152,15 @@ class TestHostileDetectionFields:
         message = self._error(tmp_path, json.dumps(_det_row(y="A" * 100000)))
         assert message.startswith("line 2: key 'y' must be a number") and len(message) < 150
 
+    def test_value_too_deep_to_repr_still_names_its_line(self):
+        """A value the parser accepts can still be nested too deep for repr."""
+        value = []
+        for _ in range(100_000):
+            value = [value]
+        with pytest.raises(ParseError) as info:
+            _annotation_record(DetectionStore, _det_row(x=value), 2, "xywh")
+        assert str(info.value) == "line 2: key 'x' must be a number, got a value nested too deep to show"
+
     def test_integer_beyond_json_limit_is_a_parse_error(self, tmp_path):
         line = json.dumps(_det_row()).replace('"x": 1', '"x": ' + "9" * 5000)
         assert self._error(tmp_path, line).startswith("line 2: invalid JSON")
@@ -354,6 +363,31 @@ class TestBlockReader:
         assert blocks.media_ids == whole.media_ids and blocks.frames == whole.frames
         assert all(np.array_equal(a, b) for a, b in zip(blocks.boxes, whole.boxes))
         assert np.array_equal(blocks.labels, whole.labels)
+
+    @pytest.mark.parametrize("kind, faulty_line, edit, expected", [
+        ("detections", 2, lambda row: dict(row, score=2), "line 2: score must lie in [0, 1], got 2"),
+        ("ground-truth", 5, lambda row: "not json", "line 5: invalid JSON (Expecting value)"),
+    ], ids=["rule-fault", "json-fault"])
+    def test_faulty_file_is_read_once_up_to_its_faulty_block(self, tmp_path, monkeypatch, kind,
+                                                              faulty_line, edit, expected):
+        """One open, and no line parsed past the faulty line's block; only that
+        block's lines are parsed again, from the raw lines in hand."""
+        load, row, _ = self._LOADERS[kind]
+        rows = [row(i) for i in range(1000)]
+        rows[faulty_line - 1] = edit(rows[faulty_line - 1])
+        path = _write_lines(tmp_path / "a.jsonl", rows)
+        opened, parsed = [], []
+        real_object = biomeval_io._jsonl_object
+        monkeypatch.setattr(biomeval_io, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                            raising=False)
+        monkeypatch.setattr(biomeval_io, "_jsonl_object",
+                            lambda line, lineno: parsed.append(lineno) or real_object(line, lineno))
+        with pytest.raises(BiomevalError) as info:
+            load(path)
+        assert str(info.value) == expected
+        assert opened == [path]
+        block_end = -(-faulty_line // 3) * 3
+        assert max(parsed) <= block_end and len(parsed) <= block_end + 3
 
     @pytest.mark.parametrize("type_line, json_line, expected", [
         (2, 7, "line 2: key 'vector[0]' must be a number, got '1'"),
