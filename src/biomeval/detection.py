@@ -98,13 +98,11 @@ def _frame_positions(media: list[str], media_ids: Sequence[str], frames: Sequenc
 
 def _visiting_order(frame: np.ndarray, scores: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Rows by frame, descending score, then area; ties keep row order. This is
-    np.lexsort((area, -scores, frame)) as one stable argsort of integer keys: each
-    factor is a dense rank below n, the row count of both stores, so each key stays
-    below n**2 and int64 cannot overflow."""
+    np.lexsort((area, -scores, frame)) as _candidate_order's sort, with the dense
+    rank of (frame, descending score) as the rank and -area as the value: each
+    factor of a key is below n, the row count of both stores, so int64 cannot overflow."""
     by_score, n_scores = _dense_rank(-scores)
-    by_frame, _ = _dense_rank(frame * n_scores + by_score)
-    by_area, n_areas = _dense_rank(area)
-    return np.argsort(by_frame * n_areas + by_area, kind="stable")
+    return _candidate_order(_dense_rank(frame * n_scores + by_score)[0], -area)
 
 
 def _candidate_order(rank: np.ndarray, value: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ProtocolError, ValidationError, brief, no_repeats, preview
 from .records import ProtocolManifest
-from .stores import EmbeddingStore
+from .stores import EmbeddingStore, float_array
 
 DEFAULT_FAR_TARGETS = (1e-4, 1e-3, 1e-2, 1e-1)
 DEFAULT_RANKS = (1, 5, 10, 20)
@@ -92,16 +92,21 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
         media /= np.sqrt(sq)[:, None]
     faulty, rows, starts = codes > 0, media, first
     if method == "mean":
-        # Subjects with k media are averaged together as one (n_k, k, d) block.
+        # Subjects with k media are averaged together as (n, k, d) blocks of at most
+        # _SCORE_CHUNK rows (one subject's, if it has more): each mean reads only its
+        # own subject's rows, so the blocks change no bit of it.
         means = np.empty((len(counts), media.shape[1]))
         for k in _distinct(np.sort(counts)).tolist():
             (members,) = np.nonzero(counts == k)
-            means[members] = rows[first[members, None] + np.arange(k)].mean(axis=1)
+            step = max(1, _SCORE_CHUNK // k)
+            for part in np.split(members, np.arange(step, len(members), step)):
+                means[part] = rows[first[part, None] + np.arange(k)].mean(axis=1)
         # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
         norms = np.array([np.linalg.norm(mean) for mean in means])
         faulty |= ~(norms >= 1e-12)
         with np.errstate(invalid="ignore", divide="ignore"):
-            rows, starts = means / norms[:, None], np.arange(len(counts))
+            means /= norms[:, None]
+        rows, starts = means, np.arange(len(counts))
     if faulty.any():
         k = int(np.argmax(faulty))
         fault = _ROW_FAULTS[codes[k]] or "degenerate template (zero mean vector)"
@@ -121,13 +126,16 @@ def aggregate_gallery(media: Mapping[str, object], method: str = "mean") -> Gall
     """
     blocks: list[np.ndarray] = []
     for subject_id, vectors in media.items():
-        block = np.asarray(vectors, dtype=np.float64)
-        block = block.reshape(1, -1) if block.ndim == 1 else block
         dim = blocks[0].shape[1] if blocks else "d"
-        if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != dim):
+        try:
+            block = float_array(f"subject {brief(subject_id)}: vectors", vectors)
+            block = block.reshape(1, -1) if block.ndim == 1 else block
+            if block.ndim != 2 or 0 in block.shape or (blocks and block.shape[1] != dim):
+                raise ValidationError(f"subject {brief(subject_id)}: expected a non-empty "
+                                      f"(m, {dim}) array, got {block.shape}")
+        except ValidationError:
             aggregate_gallery(dict(zip(media, blocks)), method)  # an earlier fault comes first
-            raise ValidationError(
-                f"subject {brief(subject_id)}: expected a non-empty (m, {dim}) array, got {block.shape}")
+            raise
         blocks.append(block)
     rows = np.concatenate(blocks) if blocks else np.empty((0, 0))
     return _stack_gallery(tuple(media), rows, [len(b) for b in blocks], method)
@@ -251,7 +259,7 @@ def score(
     """
     if metric not in SCORE_METRICS:
         raise ValidationError(f"metric must be one of {SCORE_METRICS}, got {metric!r}")
-    ids, x = tuple(probe_ids), np.asarray(probes, dtype=np.float64)
+    ids, x = tuple(probe_ids), float_array("probes", probes)
     if x.ndim != 2 or x.shape[0] != len(ids):
         raise ValidationError(f"expected ({len(ids)}, d) probe array, got shape {x.shape}")
     if not len(gallery):
@@ -558,10 +566,11 @@ class IdentificationEval:
             raise ProtocolError("no non-mate searches in the matrix")
         if isinstance(thresholds, str):
             if thresholds != "sweep":
-                raise ValidationError(f"thresholds must be a list of values or 'sweep', got {thresholds!r}")
+                raise ValidationError(
+                    f"thresholds must be a list of values or 'sweep', got {brief(thresholds)}")
             taus = np.concatenate(([-np.inf], _distinct(np.sort(self.tops)), [np.inf]))
         else:
-            taus = np.sort(np.asarray(list(thresholds), dtype=np.float64))
+            taus = np.sort(float_array("thresholds", list(thresholds)))
             if taus.size == 0:
                 raise ValidationError("at least one threshold is required")
 

@@ -21,6 +21,16 @@ from .records import (
 )
 
 
+def float_array(name: str, value) -> np.ndarray:
+    """The caller's argument `name` as np.asarray(value, dtype=np.float64). A value numpy
+    cannot convert fails as a ValidationError that names the argument and quotes the
+    value cut by brief."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an array of numbers, got {brief(value)}") from None
+
+
 def box_columns(records: Iterable) -> np.ndarray:
     """The records' boxes as a (4, n) float64 array of x, y, w, h rows."""
     return np.array([rec.box.as_tuple() for rec in records], dtype=np.float64).reshape(-1, 4).T
@@ -47,8 +57,9 @@ class AnnotationStore:
         if isinstance(frames, np.ndarray):
             frames = frames.tolist()
         self.media_ids, self.frames = tuple(media_ids), tuple(frames)
-        self.boxes = np.asarray(boxes, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=self.label_dtype)
+        self.boxes = float_array("boxes", boxes)
+        self.labels = (np.asarray(labels, dtype=object) if self.label_dtype is object
+                       else float_array(f"{self.label}s", labels))
         n = len(self.media_ids)
         if len(self.frames) != n or self.boxes.shape != (4, n) or self.labels.shape != (n,):
             raise ValidationError(f"columns disagree: {n} media ids, {len(self.frames)} frames, "
@@ -162,9 +173,8 @@ class EmbeddingStore:
 
     def __init__(self, media_ids: Iterable[str], matrix: np.ndarray):
         ids = tuple(media_ids)
-        matrix = np.asarray(matrix)
-        if matrix.dtype not in (np.float32, np.float64):
-            matrix = matrix.astype(np.float64)
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float32):
+            matrix = float_array("embedding matrix", matrix)
         if matrix.ndim != 2:
             raise ValidationError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
         if matrix.shape[0] != len(ids):

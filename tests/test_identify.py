@@ -58,6 +58,32 @@ def manifest_for(subjects, probe_mates):
     )
 
 
+def _open_set_eval():
+    matrix = ScoreMatrix(("p0", "p1"), ("a", "b"), np.array([[0.9, 0.1], [0.2, 0.3]]))
+    return IdentificationEval(matrix, manifest_for(["a", "b"], ["a", None]))
+
+
+@pytest.mark.parametrize("bad", ["x" * 100_000, {"x": 1}], ids=["long-string", "dict"])
+@pytest.mark.parametrize("name, call", [
+    ("probes", lambda bad: score([[bad]], aggregate_gallery({"a": [1.0]}), probe_ids=["p"])),
+    ("subject 'b': vectors", lambda bad: aggregate_gallery({"a": [1.0], "b": [bad]})),
+    ("embedding matrix", lambda bad: EmbeddingStore(["m"], [[bad]])),
+    ("boxes", lambda bad: stores.DetectionStore(["m"], [0], [[bad], [0.0], [1.0], [1.0]], [0.5])),
+    ("scores", lambda bad: stores.DetectionStore(["m"], [0], [[0.0], [0.0], [1.0], [1.0]], [bad])),
+    ("thresholds", lambda bad: _open_set_eval().fnir_fpir([0.5, bad])),
+    ("thresholds", lambda bad: _open_set_eval().fnir_fpir(bad)),
+], ids=["score", "aggregate_gallery", "EmbeddingStore", "boxes", "scores", "fnir_fpir-list",
+        "fnir_fpir-value"])
+def test_array_arguments_that_are_not_numbers_fail_bounded(name, call, bad):
+    """A caller's array that numpy cannot convert fails as a ValidationError naming the
+    argument, with the value cut: not numpy's message quoting a 100k-character string
+    whole, nor a TypeError for a dict."""
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    message = str(info.value)
+    assert message.startswith(name) and len(message) < 1000, message[:200]
+
+
 def test_missing_media_lists_are_bounded():
     manifest = manifest_for([f"g{i:02d}" for i in range(30)], [None] * 12)
     embeddings = EmbeddingStore(["unused"], np.ones((1, 2)))
@@ -1090,6 +1116,29 @@ def test_build_gallery_templates_peak_is_the_rows():
     finally:
         tracemalloc.stop()
     assert peak < 1.4 * gallery.rows.nbytes, peak / gallery.rows.nbytes
+
+
+def test_build_mean_gallery_templates_peak_is_bounded():
+    """About 1.3x the float64 media rows under "mean", for one 5-media class: the class is
+    gathered at most _SCORE_CHUNK rows at a time and its means made unit in place, against
+    2.4x with the whole class's copy and a second array of means."""
+    rng = np.random.default_rng(92)
+    subjects, per, dim = 4000, 5, 256
+    ids = [f"m{i}" for i in range(subjects * per)]
+    store = EmbeddingStore(ids, rng.normal(size=(len(ids), dim)).astype(np.float32))
+    manifest = ProtocolManifest(
+        gallery=tuple(GalleryEntry(f"g{j}", tuple(ids[j * per : (j + 1) * per]))
+                      for j in range(subjects)),
+        probes=(),
+    )
+    media_bytes = len(ids) * dim * 8
+    tracemalloc.start()
+    try:
+        build_gallery_templates(manifest, store, "mean")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * media_bytes, peak / media_bytes
 
 
 def test_identification_eval_builds_impostors_without_a_mask():

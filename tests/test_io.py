@@ -193,8 +193,8 @@ class TestHostileDetectionFields:
         with pytest.raises(ParseError, match=r"^line 4: invalid UTF-8 \(invalid start byte: 0xff "
                                              r"at byte 16 of the line\)$"):
             load_detections(path)
-        # The decoder fails the whole block that holds line 4, before line 2 is
-        # read: a fault on line 2 still comes first.
+        # Lines are decoded and parsed in order, so line 2's JSON fault comes
+        # before line 4's byte.
         lines[1] = b"not json"
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(ParseError, match="^line 2: invalid JSON"):
