@@ -78,29 +78,12 @@ def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(step[-1]) + 1 if len(step) else 0
 
 
-def _frame_positions(media: list[str], media_ids: Sequence[str], frames: Sequence[int]):
-    """Per row, its (media_id, frame) key's index among the sorted distinct keys, and
-    its media_id's index in media (the sorted distinct media ids), as int64 arrays.
-
-    Frames are Python ints; beyond int64 they are ranked as ints. The key
-    media code * frame count + frame code orders the keys and stays below
-    n**2 for n rows, so int64 cannot overflow.
-    """
-    code = {media_id: i for i, media_id in enumerate(media)}
-    media_code = np.fromiter(map(code.__getitem__, media_ids), dtype=np.int64, count=len(media_ids))
-    try:
-        keys = np.fromiter(frames, dtype=np.int64, count=len(frames))
-    except OverflowError:
-        keys = np.array(frames, dtype=object)
-    frame_code, n_frames = _dense_rank(keys)
-    return _dense_rank(media_code * n_frames + frame_code)[0], media_code
-
-
 def _visiting_order(frame: np.ndarray, scores: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Rows by frame, descending score, then area; ties keep row order. This is
     np.lexsort((area, -scores, frame)) as _candidate_order's sort, with the dense
-    rank of (frame, descending score) as the rank and -area as the value: each
-    factor of a key is below n, the row count of both stores, so int64 cannot overflow."""
+    rank of (frame, descending score) as the rank and -area as the value. Frame
+    codes are first-row indices, so each factor of a key is below n, the row count
+    of both stores, and int64 cannot overflow."""
     by_score, n_scores = _dense_rank(-scores)
     return _candidate_order(_dense_rank(frame * n_scores + by_score)[0], -area)
 
@@ -284,13 +267,19 @@ def evaluate_detections(
             raise ValidationError(f"media {brief(media_id)} has no dataset_tag in the media index")
     groups = sorted({tags[media_id] for media_id in media})
     group_of = {tag: i for i, tag in enumerate(groups)}
-    media_group = np.array([group_of[tags[media_id]] for media_id in media], dtype=np.int64)
 
-    position, media_code = _frame_positions(media, dets.media_ids + gts.media_ids,
-                                            dets.frames + gts.frames)
-    row_group = media_group[media_code]
-    pred_frame, gt_frame = position[: len(dets)], position[len(dets) :]
-    pred_group, gt_group = row_group[: len(dets)], row_group[len(dets) :]
+    # A row's frame code is the first row, detections then ground truth, with its
+    # (media_id, frame) key: equal keys share it, frames stay Python ints whatever
+    # their size, and codes stay below the row count.
+    first_row: dict[tuple[str, int], int] = {}
+    pred_frame, gt_frame = (
+        np.fromiter(map(first_row.setdefault, zip(store.media_ids, store.frames),
+                        range(start, start + len(store))), dtype=np.int64, count=len(store))
+        for store, start in ((dets, 0), (gts, len(dets))))
+    key_group = np.zeros(len(dets) + len(gts), dtype=np.int64)
+    key_group[list(first_row.values())] = [group_of[tags[media_id]] for media_id, _ in first_row]
+    pred_group, gt_group = key_group[pred_frame], key_group[gt_frame]
+    del first_row, key_group  # released before _match, which sets eval-det's peak
 
     def group_counts(row_group: np.ndarray) -> list[int]:
         return np.bincount(row_group, minlength=len(groups)).tolist()

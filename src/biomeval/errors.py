@@ -31,12 +31,37 @@ def preview(items: Sequence[str]) -> str:
 
 
 def brief(value, limit: int = 40) -> str:
-    """repr(value), cut after `limit` characters (with the full length) when longer."""
+    """repr(value), cut after `limit` characters (with the full length) when longer. A list
+    or tuple is rendered item by item, and rendering stops once the text passes `limit`
+    (after its first item, so a value nested too deep for repr stays too deep to show); a
+    cut that leaves items unrendered gives the value's item count instead of a length."""
     try:
-        text = repr(value)
+        text, whole = _render(value, limit)
     except RecursionError:  # a JSON value parsed just inside the nesting limit
         return "a value nested too deep to show"
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    if whole:
+        return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    n = len(value)
+    return f"{text[:limit]}... (a {type(value).__name__} of {n} item{'s' * (n != 1)})"
+
+
+def _render(value, limit: int) -> tuple[str, bool]:
+    """repr(value) and True, except for a list or tuple whose text passes `limit`
+    characters with items after the first still to render: then the text so far and False."""
+    if type(value) is list:
+        text, closing = "[", "]"
+    elif type(value) is tuple:
+        text, closing = "(", ",)" if len(value) == 1 else ")"
+    else:
+        return repr(value), True
+    for i, item in enumerate(value):
+        if i and len(text) > limit:
+            return text, False
+        part, whole = _render(item, limit - len(text))
+        text += f", {part}" if i else part
+        if not whole:
+            return text, False
+    return text + closing, True
 
 
 def json_error(exc) -> str:

@@ -193,9 +193,10 @@ def _annotation_record(store_type: type, obj: dict, lineno: int, box_format: str
 def _block_columns(store_type: type, box_format: str, objs: list[dict], strings: dict):
     """One block's media ids, frames, (4, n) x/y/w/h array, labels and media tags (each
     medium's tag on its first line in the block) if every field is a plain string, int
-    or float of its key's kind, else None. Integral float frames read as ints; the loader
-    applies the store's record rule to the rows. Media ids and tags go through `strings`, so
-    each distinct string is held once."""
+    or float of its key's kind and every frame passes the store's frame rule, else None.
+    Integral float frames read as ints; the loader applies the rest of the store's record
+    rule to the rows. Media ids and tags go through `strings`, so each distinct string is
+    held once."""
     media, frames, *box, labels, tags = (
         [obj.get(key) for obj in objs]
         for key in ("media_id", "frame", "x", "y", "w", "h", store_type.label, "dataset_tag")
@@ -204,9 +205,13 @@ def _block_columns(store_type: type, box_format: str, objs: list[dict], strings:
     def only(column, *kinds) -> bool:
         return set(map(type, column)) <= set(kinds)
 
-    if float in set(map(type, frames)):
+    # The block's one frame scan: the store's frame rule, every frame an int >= 0.
+    kinds = set(map(type, frames))
+    if float in kinds:
         frames = list(map(_integral, frames))
-    if not (only(media, str) and all(only(c, int, float) for c in box)
+        kinds = set(map(type, frames))
+    if not (kinds <= {int} and min(frames, default=0) >= 0 and only(media, str)
+            and all(only(c, int, float) for c in box)
             and only(labels, *((str,) if store_type.label_dtype is object else (int, float)))
             and only(tags, str, type(None))):
         return None
@@ -244,7 +249,8 @@ def _load_annotations(path: str | Path, box_format: str, store_type: type):
                 block = _block_columns(store_type, box_format, objs, strings)
             except ParseError:
                 block = None
-            if block is None or not store_type.rows_pass(*block[1:4]):
+            # _block_columns checked the frames; rows_pass checks the boxes and labels.
+            if block is None or not store_type.rows_pass((), *block[2:4]):
                 for lineno, line in raw:
                     if (obj := _jsonl_object(line, lineno)) is not None:
                         _annotation_record(store_type, obj, lineno, box_format)

@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .stores import float_array
+
 DEFAULT_BETA = 1.0 / 9.0
 DEFAULT_MARGIN = 0.3
 DEFAULT_EPSILON = 1e-7
@@ -45,7 +47,7 @@ class LabeledBatch:
     labels: tuple[str, ...]
 
     def __init__(self, features, labels):
-        x = np.array(features, dtype=np.float64)
+        x = np.array(float_array("features", features))  # the batch's own copy
         if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError(f"features must be a (B >= 2, d) array, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
@@ -67,7 +69,7 @@ class LabeledBatch:
 
 
 def _as_finite_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64).reshape(-1)
+    arr = float_array(name, value).reshape(-1)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
@@ -169,7 +171,7 @@ def cross_entropy_grad(logits, label: int, epsilon: float = DEFAULT_EPSILON) -> 
 
 def pairwise_distances(features: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between feature rows."""
-    x = np.asarray(features, dtype=np.float64)
+    x = float_array("features", features)
     diff = x[:, None, :] - x[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
@@ -265,8 +267,8 @@ def grad_check(
     |numeric|). The caller keeps `point` away from non-differentiable
     spots by at least `step`.
     """
-    x0 = np.asarray(point, dtype=np.float64).reshape(-1)
-    analytic = np.asarray(grad_fn(x0), dtype=np.float64).reshape(-1)
+    x0 = float_array("point", point).reshape(-1)
+    analytic = float_array("gradient", grad_fn(x0)).reshape(-1)
     if analytic.shape != x0.shape:
         raise ValueError(f"gradient shape {analytic.shape} does not match point {x0.shape}")
     worst = 0.0

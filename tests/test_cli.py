@@ -1403,6 +1403,24 @@ def test_closed_stdout_still_writes_every_output(command, unbuffered, tmp_path, 
     assert _files(out) == _files(tmp_path / "normal")
 
 
+@pytest.mark.parametrize("command", ["eval-det", "eval-id"])
+def test_outputs_do_not_depend_on_the_hash_seed(command, tmp_path):
+    """Runs under two string-hash seeds write the same bytes, the manifest included:
+    eval-det keys rows by (media_id, frame) in a dict, and media ids pass through sets."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        done = subprocess.run([sys.executable, "-m", "biomeval.cli", *_run_argv(command, tmp_path),
+                               "--out", str(out)], capture_output=True,
+                              env={**env, "PYTHONHASHSEED": seed}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((_files(out), done.stdout))
+    assert "run_manifest.json" in runs[0][0] and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["check-losses", "convert-emb"])
 def test_closed_stdout_ends_other_commands_the_same_way(command, unbuffered, tmp_path):

@@ -286,14 +286,18 @@ _frame = st.tuples(
 
 
 _TAGS = {"m0": "a", "m1": "b", "m2": "a"}
+# Frame k's number: the first three share one number under three media, and the rest
+# lie at and beyond the int64 range, with 2**64 and 2**64 + 1 (equal as floats) under m0.
+_FRAME_NUMBERS = (7, 7, 7, 2**64, 2**63 - 1, 2**70, 2**64 + 1)
 
 
 def _frame_records(frames):
     """Each frame's detection and ground-truth records: frame k goes to media
-    m{k % 3} (tags a, b, a), frame number k."""
-    return [([det(f"m{k % 3}", k, *box, score) for box, score in preds],
-             [gt(f"m{k % 3}", k, *box, f"s{i}") for i, box in enumerate(truths)])
-            for k, (preds, truths) in enumerate(frames)]
+    m{k % 3} (tags a, b, a), frame number _FRAME_NUMBERS[k]."""
+    keys = [(f"m{k % 3}", _FRAME_NUMBERS[k]) for k in range(len(frames))]
+    return [([det(*key, *box, score) for box, score in preds],
+             [gt(*key, *box, f"s{i}") for i, box in enumerate(truths)])
+            for key, (preds, truths) in zip(keys, frames)]
 
 
 def _stores(per_frame):
@@ -351,27 +355,18 @@ class TestIntegerOrders:
         assert (detection._candidate_order(rank, value).tolist()
                 == np.lexsort((-value, rank)).tolist())
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), big=st.booleans())
-    def test_frame_positions_index_the_sorted_keys(self, data, big):
-        pool = [0, 1, 7, 2**63 - 1] + ([2**64, 2**64 + 1, 2**70] if big else [])
-        keys = data.draw(st.lists(st.tuples(st.sampled_from(["m10", "m9", "b", "a-2"]),
-                                            st.sampled_from(pool)), max_size=40))
-        media_ids, frames = tuple(m for m, _ in keys), tuple(f for _, f in keys)
-        media = sorted(set(media_ids))
-        position, media_code = detection._frame_positions(media, media_ids, frames)
-        distinct = sorted(set(keys))
-        assert position.tolist() == [distinct.index(key) for key in keys]
-        assert media_code.tolist() == [media.index(m) for m in media_ids]
-
 
 class TestColumnarMatching:
     @settings(max_examples=80, deadline=None)
     @given(
-        frames=st.lists(_frame, min_size=1, max_size=6),
+        frames=st.lists(_frame, min_size=1, max_size=len(_FRAME_NUMBERS)),
         extra=st.lists(st.sampled_from([0.1, 0.35, 0.5, 0.7]), max_size=3, unique=True),
         chunk=st.sampled_from([1, 3, 16, detection.IOU_CHUNK_PAIRS]),
     )
+    # Every frame key, with a box only predicted in even frames and only true in odd
+    # ones: two keys taken as one frame would match them.
+    @example(frames=[([((0, 0, 10, 10), 0.9)], []) if k % 2 == 0 else ([], [(0, 0, 10, 10)])
+                     for k in range(len(_FRAME_NUMBERS))], extra=[0.5], chunk=3)
     def test_counts_equal_per_frame_oracle_sums(self, frames, extra, chunk):
         thresholds = tuple(extra) + (1.0,)
         per_frame = _frame_records(frames)

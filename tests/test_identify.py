@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import time
 import weakref
 import tracemalloc
 import warnings
@@ -28,6 +29,7 @@ from biomeval import (
     tar_at_far,
 )
 from biomeval import identify, stores
+from biomeval.errors import brief
 from biomeval.identify import (
     AGGREGATION_METHODS,
     DEFAULT_FAR_TARGETS,
@@ -82,6 +84,28 @@ def test_array_arguments_that_are_not_numbers_fail_bounded(name, call, bad):
         call(bad)
     message = str(info.value)
     assert message.startswith(name) and len(message) < 1000, message[:200]
+
+
+def test_long_list_values_are_cut_without_a_whole_repr():
+    """brief stops rendering a list's items once past its limit and counts them instead,
+    nested lists included; a value rendered whole keeps its length."""
+    for value in ([0.0] * 2_000_000 + ["x"], [[0.0] * 2_000_000 + ["x"]]):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            text = brief(value)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1 << 20, (elapsed, peak)
+        assert text.endswith(f"... (a list of {len(value)} item{'s' * (len(value) > 1)})"), text
+    with pytest.raises(ValidationError, match=r"^probes must be .*\(a list of 2000001 items\)$"):
+        stores.float_array("probes", [0.0] * 2_000_000 + ["x"])
+    nested = [["x" * 100000]]
+    assert brief(nested) == f"{repr(nested)[:40]}... (100006 characters)"
+    for value in ([], (), (1,), [(1, 2), [3]], list(range(12)), (1.5, None, "a"), [[[[]]]]):
+        assert brief(value) == repr(value)
 
 
 def test_missing_media_lists_are_bounded():

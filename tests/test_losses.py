@@ -7,6 +7,7 @@ import biomeval.losses
 from biomeval import (
     LabeledBatch,
     ObjectnessSample,
+    ValidationError,
     batch_hard_triplet,
     batch_hard_triplet_grad,
     bce,
@@ -21,7 +22,7 @@ from biomeval import (
     smooth_l1,
     smooth_l1_grad,
 )
-from biomeval.losses import DEFAULT_BETA, _random_triplet_batch
+from biomeval.losses import DEFAULT_BETA, _random_triplet_batch, pairwise_distances
 
 from oracles import triplet_reference
 
@@ -225,6 +226,24 @@ class TestBatchHardTriplet:
             LabeledBatch([[0.0], [math.nan]], ["A", "A"])
         with pytest.raises(ValueError):
             LabeledBatch([[0.0], [1.0]], ["A"])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("features", lambda: pairwise_distances([["x" * 100000]])),
+    ("pred", lambda: smooth_l1(["x" * 100000], [1.0])),
+    ("logits", lambda: cross_entropy([{}], 0)),
+    ("features", lambda: LabeledBatch([["x" * 100000], [1.0]], ["A", "B"])),
+    ("point", lambda: grad_check(lambda x: 0.0, lambda x: x, ["x" * 100000])),
+    ("gradient", lambda: grad_check(lambda x: 0.0, lambda x: [{}], [1.0])),
+], ids=["pairwise_distances", "smooth_l1", "cross_entropy", "LabeledBatch", "grad_check-point",
+        "grad_check-gradient"])
+def test_array_arguments_that_are_not_numbers_fail_bounded(name, call):
+    """A caller's array numpy cannot convert fails as a ValidationError that names the
+    argument, not numpy's message quoting a 100k-character string whole, nor a TypeError."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name} must be an array of numbers") and len(message) < 1000, message[:200]
 
 
 class TestGradients:
