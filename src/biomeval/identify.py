@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, ValidationError, brief, no_repeats, preview
+from .errors import ProtocolError, ValidationError, brief, duplicates, no_repeats, preview
 from .records import ProtocolManifest
 from .stores import EmbeddingStore, float_array
 
@@ -59,7 +59,8 @@ class Gallery:
 def _squared_norms(mat: np.ndarray) -> np.ndarray:
     """Each row's x.x (inf where it overflows), _SCORE_CHUNK rows at a time: the rows are
     never copied whole, and each row's sum is the same whichever block holds it. The one
-    norm kernel: its square root equals np.linalg.norm(mat, axis=1) bit for bit."""
+    norm kernel (media, mean templates, probes), numpy's own sum: no BLAS kernel sets its
+    bits. Its square root equals np.linalg.norm(mat, axis=1) bit for bit."""
     parts = np.split(mat, np.arange(_SCORE_CHUNK, len(mat), _SCORE_CHUNK))
     with np.errstate(over="ignore"):
         return np.concatenate([(part * part).sum(axis=1) for part in parts])
@@ -101,8 +102,7 @@ def _stack_gallery(subject_ids: tuple[str, ...], media: np.ndarray, counts, meth
             step = max(1, _SCORE_CHUNK // k)
             for part in np.split(members, np.arange(step, len(members), step)):
                 means[part] = rows[first[part, None] + np.arange(k)].mean(axis=1)
-        # Each mean's 1-D norm: norm(axis=1) differs from it in the last bits.
-        norms = np.array([np.linalg.norm(mean) for mean in means])
+        norms = np.sqrt(_squared_norms(means))
         faulty |= ~(norms >= 1e-12)
         with np.errstate(invalid="ignore", divide="ignore"):
             means /= norms[:, None]
@@ -168,7 +168,7 @@ def probe_matrix(
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Probe-by-gallery similarity scores; higher means more similar."""
+    """Probe-by-gallery similarity scores; higher means more similar. No id repeats."""
 
     probe_ids: tuple[str, ...]
     subject_ids: tuple[str, ...]
@@ -180,6 +180,9 @@ class ScoreMatrix:
                 f"score shape {self.scores.shape} does not match "
                 f"{len(self.probe_ids)} probes x {len(self.subject_ids)} subjects"
             )
+        for side, ids in (("probe", self.probe_ids), ("subject", self.subject_ids)):
+            if len(set(ids)) != len(ids):
+                raise ValidationError(f"duplicate {side} ids: {preview(duplicates(ids))}")
         if not np.all(np.isfinite(self.scores)):
             raise ValidationError("scores must be finite")
 
@@ -532,20 +535,17 @@ class IdentificationEval:
     def roc_curve(self) -> Curve:
         """TAR-vs-FAR sweep over impostor-score thresholds.
 
-        Thresholds are distinct impostor scores; when there are more than
-        _ROC_POINTS (4096) of them, evenly spaced order statistics are used
-        instead, so every emitted point is still an exact operating point.
+        Thresholds are -inf and the distinct impostor scores at _ROC_POINTS (4096)
+        evenly spaced positions of all N impostor scores (every score when N <=
+        _ROC_POINTS), so every emitted point is an exact operating point.
         """
         self._require_genuine_and_impostor()
         imp_sorted = self.impostor
         gen_sorted = np.sort(self.genuine)
+        positions = _distinct(np.linspace(0, imp_sorted.size - 1, _ROC_POINTS).round().astype(int))
         # The thresholds are sorted again, as numpy.unique sorted them, which
         # decides whether 0.0 or -0.0 stands for a run of zeros of both signs.
-        if imp_sorted.size > _ROC_POINTS:
-            positions = _distinct(np.linspace(0, imp_sorted.size - 1, _ROC_POINTS).round().astype(int))
-            taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted[positions]))))
-        else:
-            taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted))))
+        taus = np.concatenate(([-np.inf], _distinct(np.sort(imp_sorted[positions]))))
         fars, tars = _share_above(imp_sorted, taus), _share_above(gen_sorted, taus)
         return _plateau_curve(fars, tars, taus, "false accept rate", "true accept rate")
 
@@ -557,7 +557,7 @@ class IdentificationEval:
         below t or (with rank_cap set) ranks outside the cap. "sweep" uses
         every distinct per-probe top score plus -inf/+inf sentinels so the
         curve reaches both axes; equal-FPIR points collapse to the lowest
-        FNIR.
+        FNIR. An explicit list may hold -inf or +inf, but no NaN.
         """
         positive_rank("rank_cap", rank_cap)
         if not self.mate_rows.size:
@@ -570,9 +570,12 @@ class IdentificationEval:
                     f"thresholds must be a list of values or 'sweep', got {brief(thresholds)}")
             taus = np.concatenate(([-np.inf], _distinct(np.sort(self.tops)), [np.inf]))
         else:
-            taus = np.sort(float_array("thresholds", list(thresholds)))
+            values = list(thresholds)
+            taus = np.sort(float_array("thresholds", values))
             if taus.size == 0:
                 raise ValidationError("at least one threshold is required")
+            if np.isnan(taus).any():
+                raise ValidationError(f"thresholds must not be NaN, got {brief(values)}")
 
         in_cap = self.genuine if rank_cap is None else self.genuine[self.ranks <= rank_cap]
         nm_sorted = np.sort(self.tops[self.non_mate_rows])

@@ -171,12 +171,6 @@ class ProtocolManifest:
     def is_mate(self, probe: ProbeEntry) -> bool:
         return probe.true_subject_id is not None and probe.true_subject_id in self.enrolled_subjects
 
-    def mate_probes(self) -> tuple[ProbeEntry, ...]:
-        return tuple(p for p in self.probes if self.is_mate(p))
-
-    def non_mate_probes(self) -> tuple[ProbeEntry, ...]:
-        return tuple(p for p in self.probes if not self.is_mate(p))
-
     def referenced_media(self) -> tuple[str, ...]:
         """All media ids named by the protocol, gallery first, duplicates removed."""
         seen: dict[str, None] = {}

@@ -312,7 +312,7 @@ def validate_protocol(manifest: ProtocolManifest, embeddings: EmbeddingStore) ->
     missing = tuple(m for m in manifest.referenced_media() if m not in embeddings)
     return ProtocolReport(
         missing_media=missing,
-        mate_probe_ids=tuple(p.probe_id for p in manifest.mate_probes()),
-        non_mate_probe_ids=tuple(p.probe_id for p in manifest.non_mate_probes()),
+        mate_probe_ids=tuple(p.probe_id for p in manifest.probes if manifest.is_mate(p)),
+        non_mate_probe_ids=tuple(p.probe_id for p in manifest.probes if not manifest.is_mate(p)),
         distractor_count=manifest.distractor_count,
     )

@@ -1,6 +1,10 @@
 import gc
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import time
 import weakref
 import tracemalloc
@@ -235,12 +239,13 @@ class TestAggregateGallery:
 
 
 def reference_template(vectors, method):
-    """One subject's template rows, built alone: normalize, then mean and 1-D norm."""
+    """One subject's template rows, built alone: normalize, then mean and normalize again,
+    each by numpy's row norm."""
     unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
     if method == "max_score":
         return unit
-    mean = unit.mean(axis=0)
-    return (mean / np.linalg.norm(mean))[None, :]
+    mean = unit.mean(axis=0)[None, :]
+    return mean / np.linalg.norm(mean, axis=1)[:, None]
 
 
 # Each fault, as (vectors, message) for a gallery of 2-d vectors.
@@ -382,8 +387,8 @@ def full_matrix_rows(media, counts, method):
     if method == "max_score":
         return unit
     first = np.cumsum(counts) - counts
-    means = [unit[s : s + k].mean(axis=0) for s, k in zip(first, counts)]
-    return np.stack([mean / np.linalg.norm(mean) for mean in means])
+    means = np.stack([unit[s : s + k].mean(axis=0) for s, k in zip(first, counts)])
+    return means / np.linalg.norm(means, axis=1)[:, None]
 
 
 class TestBlocks:
@@ -492,13 +497,21 @@ class TestScore:
         with pytest.raises(ValidationError, match=message):
             score(probes, gallery, probe_ids=["p0"])
 
-    @pytest.mark.parametrize("subjects, scores, message", [
-        (("a",), np.array([[np.nan]]), "^scores must be finite$"),
-        (("a", "b"), np.array([[0.5]]), r"^score shape \(1, 1\) does not match 1 probes x 2 subjects$"),
-    ], ids=["nan", "shape"])
-    def test_score_matrix_faults(self, subjects, scores, message):
+    @pytest.mark.parametrize("probes, subjects, scores, message", [
+        (("p0",), ("a",), np.array([[np.nan]]), "^scores must be finite$"),
+        (("p0",), ("a", "b"), np.array([[0.5]]),
+         r"^score shape \(1, 1\) does not match 1 probes x 2 subjects$"),
+        # A repeated subject would hide its mate column, and a repeated probe its row.
+        (("p1", "p1"), ("a", "a"), np.array([[0.9, 0.1], [0.5, 0.4]]),
+         r"^duplicate probe ids: \['p1'\]$"),
+        (("p1", "p2"), ("a", "a"), np.array([[0.9, 0.1], [0.5, 0.4]]),
+         r"^duplicate subject ids: \['a'\]$"),
+        (("p0",), tuple(f"s{i // 2:05d}" for i in range(20_000)), np.zeros((1, 20_000)),
+         r"^duplicate subject ids: \[.*'s00009'\] \(first 10 of 10000\)$"),
+    ], ids=["nan", "shape", "repeated-probe", "repeated-subject", "repeats-cut"])
+    def test_score_matrix_faults(self, probes, subjects, scores, message):
         with pytest.raises(ValidationError, match=message):
-            ScoreMatrix(("p0",), subjects, scores)
+            ScoreMatrix(probes, subjects, scores)
 
     def test_dimension_mismatch(self):
         gallery = aggregate_gallery({"g": [[1.0, 0.0, 0.0]]})
@@ -800,6 +813,16 @@ class TestRocCurve:
         assert curve.y[-1] == 1.0
         assert all(b >= a for a, b in zip(curve.y, curve.y[1:]))
 
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096])
+    def test_every_distinct_impostor_score_is_a_threshold(self, n):
+        """Up to _ROC_POINTS impostor scores, the evenly spaced positions are every index."""
+        rng = np.random.default_rng(n)
+        impostors = rng.integers(0, max(1, n // 3), size=n) / 8.0  # ties when n >= 2
+        subjects = [f"s{j}" for j in range(n + 1)]
+        matrix = ScoreMatrix(("p0",), tuple(subjects), np.concatenate(([1e9], impostors))[None])
+        curve = IdentificationEval(matrix, manifest_for(subjects, ["s0"])).roc_curve()
+        assert curve.thresholds == (-np.inf, *np.unique(impostors).tolist())[::-1]
+
 
 class TestFnirFpir:
     def _fixture(self):
@@ -865,11 +888,21 @@ class TestFnirFpir:
     @pytest.mark.parametrize("thresholds, message", [
         ("all", "thresholds must be a list of values or 'sweep', got 'all'"),
         ([], "at least one threshold is required"),
+        ([math.nan, 0.5], "thresholds must not be NaN, got [nan, 0.5]"),
     ])
     def test_bad_thresholds_rejected(self, thresholds, message):
         matrix, manifest = self._fixture()
         with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
             fnir_fpir(matrix, manifest, thresholds=thresholds)
+
+    def test_infinite_thresholds_kept_and_a_long_nan_list_cut(self):
+        matrix, manifest = self._fixture()
+        with pytest.raises(ValidationError) as info:
+            fnir_fpir(matrix, manifest, thresholds=[0.5] * 100_000 + [math.nan])
+        assert str(info.value).endswith("(a list of 100001 items)") and len(str(info.value)) < 120
+        curve = fnir_fpir(matrix, manifest, thresholds=[math.inf, -math.inf])
+        assert curve.points == ((0.0, 1.0), (1.0, 0.0))
+        assert curve.thresholds == (math.inf, -math.inf)
 
     def test_requires_both_probe_kinds(self):
         matrix = ScoreMatrix(("p0",), ("a",), np.array([[0.5]]))
@@ -978,7 +1011,7 @@ class TestIdentificationEval:
     def test_context_equals_module_functions(self, case, targets):
         matrix, manifest = case
         evaluation = IdentificationEval(matrix, manifest)
-        mates = matrix.subset([p.probe_id for p in manifest.mate_probes()])
+        mates = matrix.subset([p.probe_id for p in manifest.probes if manifest.is_mate(p)])
         assert evaluation.cmc() == cmc(mates, manifest)
         for k in (1, 3, len(matrix.subject_ids)):
             assert evaluation.rank_k_accuracy(k) == rank_k_accuracy(mates, manifest, k)
@@ -1163,6 +1196,44 @@ def test_build_mean_gallery_templates_peak_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.45 * media_bytes, peak / media_bytes
+
+
+def _numpy_uses_openblas_on_x86_64() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    return "openblas" in blas.lower() and platform.machine().lower() in ("x86_64", "amd64")
+
+
+# Writes the golden inputs' "mean" template rows to stdout as raw bytes.
+_MEAN_TEMPLATE_BYTES = """
+import sys
+from biomeval.identify import build_gallery_templates
+from biomeval.io import load_embeddings, load_protocol
+golden = sys.argv[1]
+gallery = build_gallery_templates(
+    load_protocol(golden + "/protocol.json"), load_embeddings(golden + "/embeddings.bemb"), "mean")
+sys.stdout.buffer.write(gallery.rows.tobytes())
+"""
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas_on_x86_64(), reason="needs numpy on OpenBLAS, x86-64")
+def test_mean_templates_do_not_depend_on_the_openblas_kernel():
+    """Every norm is numpy's own sum of squares, so the templates' bits are the same under
+    OpenBLAS's baseline kernel and its AVX one; a BLAS dot product's bits are not."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    rows = {}
+    for core in ("Prescott", "Sandybridge"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", _MEAN_TEMPLATE_BYTES, os.path.join(tests, "data", "id_golden")],
+            env=env, capture_output=True, timeout=120, check=True)
+        rows[core] = done.stdout
+    assert len(rows["Prescott"]) == 200 * 16 * 8
+    assert rows["Prescott"] == rows["Sandybridge"]
 
 
 def test_identification_eval_builds_impostors_without_a_mask():

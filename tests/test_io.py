@@ -853,7 +853,7 @@ class TestProtocolAndMedia:
         manifest = load_protocol(protocol_path)
         assert manifest.subject_ids == ("g1", "g2", "g3")
         assert manifest.distractor_count == 1
-        assert [p.probe_id for p in manifest.mate_probes()] == ["p1", "p2"]
+        assert [p.probe_id for p in manifest.probes if manifest.is_mate(p)] == ["p1", "p2"]
 
     def test_protocol_missing_keys(self, tmp_path):
         path = tmp_path / "p.json"

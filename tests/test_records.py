@@ -130,8 +130,7 @@ class TestProtocolManifest:
                 ProbeEntry("p3", "pm3", None),
             ),
         )
-        assert [p.probe_id for p in manifest.mate_probes()] == ["p1"]
-        assert [p.probe_id for p in manifest.non_mate_probes()] == ["p2", "p3"]
+        assert [manifest.is_mate(p) for p in manifest.probes] == [True, False, False]
 
 
 class TestStores:
