@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds
+from .detection import DEFAULT_IOU_THRESHOLDS, evaluate_detections, iou_thresholds, prf1
 from .errors import BiomevalError, ParseError, brief, preview
 from .identify import (
     AGGREGATION_METHODS,
@@ -359,10 +359,10 @@ def _cmd_eval_det(args) -> RunOutputs:
 
     report = evaluate_detections(dets, gts, thresholds, media_tags=media_tags)
 
-    def line(name, thr, scores) -> str:
-        counts = scores.counts
-        return (f"  {name} @ {thr:g}: P={round6(scores.precision)} R={round6(scores.recall)} "
-                f"F1={round6(scores.f1)} (tp={counts.tp} fp={counts.fp} fn={counts.fn})")
+    def line(name, thr, counts) -> str:
+        scores = prf1(counts)
+        return (f"  {name} @ {thr:g}: P={round6(scores['precision'])} R={round6(scores['recall'])} "
+                f"F1={round6(scores['f1'])} (tp={counts.tp} fp={counts.fp} fn={counts.fn})")
 
     lines = [f"detection evaluation at IoU thresholds {list(thresholds)}"]
     lines += [line(tag, thr, report.per_group[(tag, thr)]) for tag in report.groups for thr in thresholds]

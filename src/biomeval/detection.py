@@ -7,7 +7,7 @@ mean of the per-group scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -185,33 +185,10 @@ def prf1(counts: MatchCounts) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class GroupScores:
-    counts: MatchCounts
-    precision: float
-    recall: float
-    f1: float
-
-    @classmethod
-    def from_counts(cls, counts: MatchCounts) -> "GroupScores":
-        scores = prf1(counts)
-        return cls(counts, scores["precision"], scores["recall"], scores["f1"])
-
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "fn": self.counts.fn,
-        }
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     thresholds: tuple[float, ...]
-    per_group: dict[tuple[str, float], GroupScores]
-    pooled: dict[float, GroupScores]
+    per_group: dict[tuple[str, float], MatchCounts]
+    pooled: dict[float, MatchCounts]
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -219,9 +196,9 @@ class DetectionReport:
 
     def to_dict(self) -> dict:
         groups: dict[str, dict[str, dict]] = {}
-        for (tag, thr), scores in sorted(self.per_group.items()):
-            groups.setdefault(tag, {})[repr(thr)] = scores.as_dict()
-        pooled = {repr(thr): scores.as_dict() for thr, scores in sorted(self.pooled.items())}
+        for (tag, thr), counts in sorted(self.per_group.items()):
+            groups.setdefault(tag, {})[repr(thr)] = {**prf1(counts), **asdict(counts)}
+        pooled = {repr(thr): {**prf1(c), **asdict(c)} for thr, c in sorted(self.pooled.items())}
         return {
             "iou_thresholds": list(self.thresholds),
             "groups": groups,
@@ -297,8 +274,4 @@ def evaluate_detections(
             per_group[(tag, thr)] = MatchCounts(tp, n_pred - tp, n_gt - tp)
             pooled[thr] = pooled[thr] + per_group[(tag, thr)]
 
-    return DetectionReport(
-        thresholds=thresholds,
-        per_group={key: GroupScores.from_counts(c) for key, c in per_group.items()},
-        pooled={thr: GroupScores.from_counts(c) for thr, c in pooled.items()},
-    )
+    return DetectionReport(thresholds=thresholds, per_group=per_group, pooled=pooled)

@@ -188,7 +188,10 @@ class ScoreMatrix:
 
     def subset(self, probe_ids: Sequence[str]) -> "ScoreMatrix":
         index = {p: i for i, p in enumerate(self.probe_ids)}
-        rows = [index[p] for p in probe_ids]
+        try:
+            rows = [index[p] for p in probe_ids]
+        except KeyError as exc:
+            raise ProtocolError(f"probe {brief(exc.args[0])} is not in the score matrix") from None
         return ScoreMatrix(tuple(probe_ids), self.subject_ids, self.scores[rows])
 
 
@@ -557,7 +560,7 @@ class IdentificationEval:
         below t or (with rank_cap set) ranks outside the cap. "sweep" uses
         every distinct per-probe top score plus -inf/+inf sentinels so the
         curve reaches both axes; equal-FPIR points collapse to the lowest
-        FNIR. An explicit list may hold -inf or +inf, but no NaN.
+        FNIR. An explicit flat list may hold -inf or +inf, but no NaN.
         """
         positive_rank("rank_cap", rank_cap)
         if not self.mate_rows.size:
@@ -570,8 +573,11 @@ class IdentificationEval:
                     f"thresholds must be a list of values or 'sweep', got {brief(thresholds)}")
             taus = np.concatenate(([-np.inf], _distinct(np.sort(self.tops)), [np.inf]))
         else:
-            values = list(thresholds)
-            taus = np.sort(float_array("thresholds", values))
+            values = list(thresholds) if np.iterable(thresholds) else thresholds
+            taus = float_array("thresholds", values)
+            if taus.ndim != 1:
+                raise ValidationError(f"thresholds must be a flat list of numbers, got {brief(values)}")
+            taus = np.sort(taus)
             if taus.size == 0:
                 raise ValidationError("at least one threshold is required")
             if np.isnan(taus).any():

@@ -23,6 +23,7 @@ from biomeval import (
     evaluate_detections,
     fnir_fpir,
     match_frame,
+    prf1,
     rank_k_accuracy,
     roc_curve,
     run_self_check,
@@ -76,7 +77,7 @@ def test_c1_detection_oracle_equivalence():
         thresholds,
     )
     for thr in thresholds:
-        assert report.pooled[thr].counts == expected[thr]
+        assert report.pooled[thr] == expected[thr]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report(f"criterion 1 detection oracle equivalence ({elapsed:.2f}s)")
@@ -86,10 +87,10 @@ def test_c2_pooled_vs_macro_fixture():
     """Two-group fixture: pooled F1 exactly 2/3; macro mean 22/35 within 1e-12."""
     dets, gts = _two_group_stores()
     report = evaluate_detections(dets, gts, thresholds=(0.5,))
-    pooled = report.pooled[0.5].f1
+    pooled = prf1(report.pooled[0.5])["f1"]
     assert pooled == 2.0 / 3.0
-    alpha = report.per_group[("alpha", 0.5)].f1
-    beta = report.per_group[("beta", 0.5)].f1
+    alpha = prf1(report.per_group[("alpha", 0.5)])["f1"]
+    beta = prf1(report.per_group[("beta", 0.5)])["f1"]
     macro = (alpha + beta) / 2.0
     assert abs(macro - 22.0 / 35.0) <= 1e-12
     assert pooled != macro
@@ -248,14 +249,14 @@ def test_c7_configuration_fidelity(two_group_files, toy_protocol_files, tmp_path
     out_det = tmp_path / "det"
     assert main(["eval-det", "--det", str(det_path), "--gt", str(gt_path),
                  "--out", str(out_det)]) == 0
-    det_report = json.loads((out_det / "detection_report.json").read_text())
+    det_report = json.loads((out_det / "detection_report.json").read_text(encoding="utf-8"))
     assert det_report["iou_thresholds"] == [0.35, 0.5, 0.7]
 
     emb_path, protocol_path = toy_protocol_files
     out_id = tmp_path / "id"
     assert main(["eval-id", "--emb", str(emb_path), "--protocol", str(protocol_path),
                  "--out", str(out_id)]) == 0
-    id_report = json.loads((out_id / "identification_report.json").read_text())
+    id_report = json.loads((out_id / "identification_report.json").read_text(encoding="utf-8"))
     assert id_report["far_targets"] == [1e-4, 1e-3, 1e-2, 1e-1]
     assert id_report["ranks"] == [1, 5, 10, 20]
 
@@ -274,7 +275,7 @@ def test_c7_configuration_fidelity(two_group_files, toy_protocol_files, tmp_path
         out_plan = tmp_path / f"plan{stride}"
         assert main(["plan-batches", "--media", str(media_path), "--out", str(out_plan),
                      "--stride", str(stride), "--mode", "test"]) == 0
-        plan = json.loads((out_plan / "plan.json").read_text())
+        plan = json.loads((out_plan / "plan.json").read_text(encoding="utf-8"))
         assert (plan["n"], plan["k"]) == (4, 4)
         assert plan["stride"] == stride
         assert plan["stride_choices"] == [150, 300]

@@ -54,7 +54,7 @@ class TestEvalDet:
             assert report["pooled"][thr]["f1"] == round6(2.0 / 3.0)
             assert report["groups"]["alpha"][thr]["f1"] == round6(6.0 / 7.0)
             assert report["groups"]["beta"][thr]["f1"] == 0.4
-        summary = (out / "detection_summary.txt").read_text()
+        summary = (out / "detection_summary.txt").read_text(encoding="utf-8")
         assert "pooled" in summary
         assert capsys.readouterr().out.startswith("detection evaluation")
 
@@ -474,12 +474,12 @@ class TestEvalId:
             "probes": 3, "mate_searches": 2, "non_mate_searches": 1,
             "gallery_subjects": 3, "distractors": 1,
         }
-        cmc_lines = (out / "cmc.csv").read_text().splitlines()
+        cmc_lines = (out / "cmc.csv").read_text(encoding="utf-8").splitlines()
         assert cmc_lines[1] == "rank,accuracy"
         assert cmc_lines[2:] == ["1,0.5", "2,0.5", "3,1"]
-        roc_lines = (out / "roc.csv").read_text().splitlines()
+        roc_lines = (out / "roc.csv").read_text(encoding="utf-8").splitlines()
         assert roc_lines[1] == "far,tar,threshold"
-        openset_lines = (out / "openset.csv").read_text().splitlines()
+        openset_lines = (out / "openset.csv").read_text(encoding="utf-8").splitlines()
         assert openset_lines[1] == "fpir,fnir,threshold"
 
     def test_zero_norm_probe_exits_1_naming_the_probe(self, toy_protocol_files, tmp_path, capsys):

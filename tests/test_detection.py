@@ -182,16 +182,16 @@ class TestEvaluateDetections:
         report = evaluate_detections(dets, gts, thresholds=(0.5,))
         alpha = report.per_group[("alpha", 0.5)]
         beta = report.per_group[("beta", 0.5)]
-        assert alpha.counts == MatchCounts(3, 1, 0)
-        assert beta.counts == MatchCounts(1, 0, 3)
-        assert alpha.f1 == pytest.approx(6.0 / 7.0, abs=1e-15)
-        assert beta.f1 == pytest.approx(0.4, abs=1e-15)
+        assert alpha == MatchCounts(3, 1, 0)
+        assert beta == MatchCounts(1, 0, 3)
+        assert prf1(alpha)["f1"] == pytest.approx(6.0 / 7.0, abs=1e-15)
+        assert prf1(beta)["f1"] == pytest.approx(0.4, abs=1e-15)
         pooled = report.pooled[0.5]
-        assert pooled.counts == MatchCounts(4, 1, 3)
-        assert pooled.f1 == 2.0 / 3.0
-        macro = (alpha.f1 + beta.f1) / 2.0
+        assert pooled == MatchCounts(4, 1, 3)
+        assert prf1(pooled)["f1"] == 2.0 / 3.0
+        macro = (prf1(alpha)["f1"] + prf1(beta)["f1"]) / 2.0
         assert macro == pytest.approx(22.0 / 35.0, abs=1e-12)
-        assert pooled.f1 != macro
+        assert prf1(pooled)["f1"] != macro
 
     def test_default_thresholds(self):
         assert DEFAULT_IOU_THRESHOLDS == (0.35, 0.5, 0.7)
@@ -221,10 +221,10 @@ class TestEvaluateDetections:
         report = evaluate_detections(dets, gts)
         for thr in report.thresholds:
             total = MatchCounts()
-            for (tag, t), scores in report.per_group.items():
+            for (tag, t), counts in report.per_group.items():
                 if t == thr:
-                    total = total + scores.counts
-            assert report.pooled[thr].counts == total
+                    total = total + counts
+            assert report.pooled[thr] == total
 
     def test_missing_tag_is_validation_error(self):
         dets = DetectionStore.from_records([det("m", 0, 0, 0, 1, 1, 0.5)])
@@ -379,8 +379,8 @@ class TestColumnarMatching:
                 assert match_frame(preds, truths, thr) == counts
             want = _oracle_counts(per_frame, thr)
             for tag, counts in want.items():
-                assert report.per_group[(tag, thr)].counts == counts
-            assert report.pooled[thr].counts == sum(want.values(), MatchCounts())
+                assert report.per_group[(tag, thr)] == counts
+            assert report.pooled[thr] == sum(want.values(), MatchCounts())
 
     @settings(max_examples=80, deadline=None)
     @given(frames=st.lists(_frame, min_size=1, max_size=6), data=st.data())
@@ -403,8 +403,8 @@ class TestColumnarMatching:
         assert evaluate_detections(reinterleaved(dets), reinterleaved(gts), thresholds) == report
         for thr in thresholds:
             want = _oracle_counts(per_frame, thr)
-            assert {tag: report.per_group[(tag, thr)].counts for tag in want} == want
-            assert report.pooled[thr].counts == sum(want.values(), MatchCounts())
+            assert {tag: report.per_group[(tag, thr)] for tag in want} == want
+            assert report.pooled[thr] == sum(want.values(), MatchCounts())
 
     def test_frame_larger_than_one_chunk_matches_oracle(self):
         rng = np.random.default_rng(50)
@@ -422,7 +422,7 @@ class TestColumnarMatching:
                                      GroundTruthStore.from_records(truths, media_tags=tags),
                                      (0.35, 0.7, 1.0))
         for thr in (0.35, 0.7, 1.0):
-            assert report.pooled[thr].counts == MatchCounts(*match_frame_reference(preds, truths, thr))
+            assert report.pooled[thr] == MatchCounts(*match_frame_reference(preds, truths, thr))
 
     def test_crowd_frame_memory_is_bounded(self):
         # One 3000 x 3000 frame: an unchunked float64 IoU matrix alone is 72 MB.
@@ -440,7 +440,7 @@ class TestColumnarMatching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.pooled[0.35].counts.tp == 3000
+        assert report.pooled[0.35].tp == 3000
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_frame_numbers_beyond_int64(self):
@@ -451,4 +451,4 @@ class TestColumnarMatching:
         gts = GroundTruthStore.from_records(
             [gt("m", big, 0, 0, 10, 10), gt("m", big + 1, 0, 0, 10, 10)], media_tags=tags)
         assert dets.frames == (big, 3)
-        assert evaluate_detections(dets, gts, (0.5,)).pooled[0.5].counts == MatchCounts(1, 1, 1)
+        assert evaluate_detections(dets, gts, (0.5,)).pooled[0.5] == MatchCounts(1, 1, 1)

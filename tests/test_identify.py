@@ -513,6 +513,14 @@ class TestScore:
         with pytest.raises(ValidationError, match=message):
             ScoreMatrix(probes, subjects, scores)
 
+    def test_subset_of_an_unknown_probe_is_a_bounded_error(self):
+        matrix = ScoreMatrix(("p1", "p2"), ("a", "b"), np.zeros((2, 2)))
+        assert matrix.subset(["p2"]).scores.shape == (1, 2)
+        with pytest.raises(BiomevalError) as info:
+            matrix.subset(["p1", "z" * 100_000, "zz"])
+        assert str(info.value).startswith("probe 'zzz") and len(str(info.value)) < 200
+        assert str(info.value).endswith(" is not in the score matrix")
+
     def test_dimension_mismatch(self):
         gallery = aggregate_gallery({"g": [[1.0, 0.0, 0.0]]})
         with pytest.raises(ValueError, match="dim"):
@@ -889,6 +897,9 @@ class TestFnirFpir:
         ("all", "thresholds must be a list of values or 'sweep', got 'all'"),
         ([], "at least one threshold is required"),
         ([math.nan, 0.5], "thresholds must not be NaN, got [nan, 0.5]"),
+        ([[0.5, 0.2]], "thresholds must be a flat list of numbers, got [[0.5, 0.2]]"),
+        ([[0.5], [0.2]], "thresholds must be a flat list of numbers, got [[0.5], [0.2]]"),
+        (0.5, "thresholds must be a flat list of numbers, got 0.5"),
     ])
     def test_bad_thresholds_rejected(self, thresholds, message):
         matrix, manifest = self._fixture()
