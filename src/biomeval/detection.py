@@ -62,30 +62,15 @@ def iou_thresholds(values) -> tuple:
     return no_repeats("IoU thresholds", thresholds)
 
 
-def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's index among the sorted distinct keys (int64), and how many there are.
-
-    Keys that compare equal share a rank, so +0.0 and -0.0 do. (np.unique
-    would give the same, but its first call imports numpy.ma.)
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    step = np.zeros(len(keys), dtype=np.int64)
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
-    np.cumsum(step, out=step)
-    rank = np.empty_like(step)
-    rank[order] = step
-    return rank, int(step[-1]) + 1 if len(step) else 0
-
-
 def _visiting_order(frame: np.ndarray, scores: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Rows by frame, descending score, then area; ties keep row order. This is
     np.lexsort((area, -scores, frame)) as _candidate_order's sort, with the dense
-    rank of (frame, descending score) as the rank and -area as the value. Frame
+    rank of (frame, descending score) as the rank and -area as the value. A dense
+    rank is np.unique's inverse, so equal keys (+0.0 and -0.0 too) share one. Frame
     codes are first-row indices, so each factor of a key is below n, the row count
     of both stores, and int64 cannot overflow."""
-    by_score, n_scores = _dense_rank(-scores)
-    return _candidate_order(_dense_rank(frame * n_scores + by_score)[0], -area)
+    score_levels, by_score = np.unique(-scores, return_inverse=True)
+    return _candidate_order(np.unique(frame * score_levels.size + by_score, return_inverse=True)[1], -area)
 
 
 def _candidate_order(rank: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -93,8 +78,8 @@ def _candidate_order(rank: np.ndarray, value: np.ndarray) -> np.ndarray:
     position order. This is np.lexsort((-value, rank)) as one stable argsort of an
     integer key below (max rank + 1) * len(value): in _match, the prediction count
     times a chunk's pairs."""
-    by_value, n_values = _dense_rank(-value)
-    return np.argsort(rank * n_values + by_value, kind="stable")
+    value_levels, by_value = np.unique(-value, return_inverse=True)
+    return np.argsort(rank * value_levels.size + by_value, kind="stable")
 
 
 def _match(pred_frame, pred_boxes, scores, gt_frame, gt_boxes, thresholds) -> list[np.ndarray]:

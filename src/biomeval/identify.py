@@ -364,21 +364,20 @@ def _share_above(ascending: np.ndarray, taus) -> np.ndarray:
     return (ascending.size - np.searchsorted(ascending, taus, side="right")) / ascending.size
 
 
-def _distinct(values: np.ndarray, return_index: bool = False):
-    """Element 0 and every element that differs from the one before it (and,
-    with return_index, their indices).
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Element 0 and every element that differs from the one before it.
 
-    For ascending values this equals numpy.unique(values, return_index=...)
-    bit for bit, without its sort and without the numpy.ma import that
-    numpy.unique makes on its first call. For the distinct values of any
-    array, pass it through np.sort: that is numpy.unique's own sort, so a
-    run of zeros of both signs keeps the sign numpy.unique keeps.
+    For ascending values this equals numpy.unique(values) bit for bit,
+    without its sort. It stays because the index-free numpy.unique takes a
+    hash-table path that imports numpy.ma, which costs every run. For the
+    distinct values of any array, pass it through np.sort: that is
+    numpy.unique's own sort, so a run of zeros of both signs keeps the
+    sign numpy.unique keeps.
     """
     keep = np.empty(values.shape, dtype=bool)
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
-    first = np.flatnonzero(keep)
-    return (values[first], first) if return_index else values[first]
+    return values[keep]
 
 
 def _plateau_curve(xs, ys, taus, x_label: str, y_label: str) -> Curve:
@@ -387,8 +386,8 @@ def _plateau_curve(xs, ys, taus, x_label: str, y_label: str) -> Curve:
     x is non-increasing along ascending taus, so the first occurrence of
     each x value is its plateau's smallest tau and the y it reaches there.
     """
-    # Each run of equal xs starts at its first occurrence; reversed, the runs ascend.
-    first = _distinct(xs, return_index=True)[1][::-1]
+    # np.unique's stable sort lists each x's first occurrence by ascending x.
+    first = np.unique(xs, return_index=True)[1]
     points = tuple(zip(xs[first].tolist(), ys[first].tolist()))
     return Curve(points, x_label, y_label, thresholds=tuple(taus[first].tolist()))
 

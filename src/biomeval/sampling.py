@@ -8,6 +8,7 @@ identically across machines. Item and subject orderings are canonical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,7 +38,7 @@ class DatasetWeights:
 
     def __post_init__(self):
         for name, table in (("per_dataset", self.per_dataset), ("per_item", self.per_item)):
-            total = sum(table.values())
+            total = math.fsum(table.values())
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"{name} probabilities sum to {total!r}, expected 1")
 

@@ -1620,3 +1620,28 @@ def test_eval_runs_load_no_masked_array_module():
                           env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
     assert json.loads(done.stdout) == [["eval-id", False], ["eval-id", False], ["eval-det", False]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"), "--protocol", str(ID_GOLDEN / "protocol.json"),
+     "--aggregate", "mean"],
+    ["eval-id", "--emb", str(ID_GOLDEN / "embeddings.bemb"), "--protocol", str(ID_GOLDEN / "protocol.json"),
+     "--aggregate", "max_score", "--metric", "neg_euclidean", "--rank-cap", "5"],
+    ["eval-det", "--det", str(GOLDEN / "detections.jsonl"), "--gt", str(GOLDEN / "ground_truth.jsonl"),
+     "--media", str(GOLDEN / "media.jsonl"), "--box-format", "xyxy"],
+], ids=["id-mean", "id-max-score-euclidean", "det-xyxy"])
+def test_one_eval_run_in_a_fresh_process_loads_no_masked_array_module(argv, tmp_path):
+    """An index-free np.unique on a run's path imports numpy.ma; no run may take one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from biomeval.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(json.loads(sys.argv[1])) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, json.dumps([*argv, "--out", str(tmp_path / "out")])],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")

@@ -1281,17 +1281,6 @@ _TIED_FLOATS = st.lists(
 @example([0.0, -0.0, 0.0, 0.0])
 @example([2.5] * 7)
 def test_distinct_matches_numpy_unique_bit_for_bit(values):
-    """_distinct of sorted values is numpy.unique, values and first indices, signs of zero included."""
+    """_distinct of sorted values is numpy.unique, signs of zero included."""
     values = np.array(values, dtype=np.float64)
     assert identify._distinct(np.sort(values)).tobytes() == np.unique(values).tobytes()
-    ascending = np.sort(values)
-    distinct, first = identify._distinct(ascending, return_index=True)
-    expected, expected_first = np.unique(ascending, return_index=True)
-    assert distinct.tobytes() == expected.tobytes()
-    assert first.tolist() == expected_first.tolist()
-    # A non-increasing array, as _plateau_curve reads it: its runs' starts, reversed.
-    descending = ascending[::-1].copy()
-    distinct, first = identify._distinct(descending, return_index=True)
-    expected, expected_first = np.unique(descending, return_index=True)
-    assert distinct[::-1].tobytes() == expected.tobytes()
-    assert first[::-1].tolist() == expected_first.tolist()

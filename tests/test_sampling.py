@@ -40,6 +40,12 @@ class TestDatasetBalancedWeights:
             assert max(values) - min(values) < 1e-12
             assert sum(weights.per_item.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_many_items_pass_the_sum_check(self):
+        # A plain sum of 50,000 weights drifts more than 1e-12 from 1; the exact sum does not.
+        datasets = {"indoor": [f"i{j}" for j in range(30_000)], "outdoor": [f"o{j}" for j in range(20_000)]}
+        weights = dataset_balanced_weights(datasets)
+        assert weights.per_item["i0"] == 1 / 60_000 and weights.per_item["o0"] == 1 / 40_000
+
     def test_duplicate_item_across_datasets_rejected(self):
         with pytest.raises(ValidationError, match="more than one"):
             dataset_balanced_weights({"A": ["x"], "B": ["x"]})
